@@ -52,7 +52,6 @@ from .modes import (
     AmplitudePair,
     ModeRotation,
     decouple_params,
-    mode_rotation_unitary,
     quasi_phase_amplitudes,
     rotate_amplitudes,
 )
@@ -297,17 +296,17 @@ def build_hamiltonian(spec: HamiltonianSpec, dim1: int, dim2: int) -> ComplexMat
     raise InvalidVariantParams(f"unknown variant {variant!r}")
 
 
+def excitation_diagonal(dim1: int, dim2: int) -> np.ndarray:
+    """Diagonal of the excitation count sigma_z/2 + n1 + n2, flat-indexed
+    like the joint (dim1, dim2, 2) tensor."""
+    n1 = np.arange(dim1, dtype=np.float64)[:, None, None]
+    n2 = np.arange(dim2, dtype=np.float64)[None, :, None]
+    return (n1 + n2 + 0.5 * SIGMA_Z.diagonal().real).ravel()
+
+
 def excitation_number(dim1: int, dim2: int) -> ComplexMatrix:
     """Conserved excitation count: sigma_z/2 + n1 + n2 on the full space."""
-    a = ladder_matrix(dim1)
-    b = ladder_matrix(dim2)
-    id1 = np.eye(dim1, dtype=np.complex128)
-    id2 = np.eye(dim2, dtype=np.complex128)
-    return (
-        0.5 * np.kron(np.kron(id1, id2), SIGMA_Z)
-        + np.kron(np.kron(a.conj().T @ a, id2), np.eye(2))
-        + np.kron(np.kron(id1, b.conj().T @ b), np.eye(2))
-    )
+    return np.diag(excitation_diagonal(dim1, dim2)).astype(np.complex128)
 
 
 class HermitianPropagator:

@@ -11,6 +11,7 @@ dispersively shifted oscillators when the detunings differ.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -24,7 +25,7 @@ from .errors import (
     NonUnitPhase,
     ZeroDetuning,
 )
-from .fock import ComplexMatrix, ladder_matrix
+from .fock import ComplexMatrix, expm_antihermitian, ladder_matrix
 
 PHYSICAL = "physical"
 QUASI = "quasi"
@@ -114,9 +115,32 @@ def rotate_amplitudes(
     raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
 
 
-# Eigendecomposition of the mixing generator depends only on the dims, so it
-# is cached and reused across rotation angles.
-_mixer_eig_cache: dict = {}
+def _expm_hopping(hop: np.ndarray, c: complex) -> ComplexMatrix:
+    """exp(c* L - c L^T) for L with the real, nonnegative hop on its superdiagonal.
+
+    i times this generator is Hermitian tridiagonal with a single phase on
+    its off-diagonal, so diag(e^{i psi k}) carries it to the real symmetric
+    |c| (L + L^T): one small real eigh, unitary to roundoff.
+    """
+    w, u = np.linalg.eigh(np.diag(hop, 1) + np.diag(hop, -1))
+    k = np.arange(hop.size + 1)
+    psi = cmath.phase(c) - 0.5 * math.pi
+    phase = np.exp(1j * psi * (k[:, None] - k[None, :]))
+    return ((u * np.exp(-1j * abs(c) * w)) @ u.T) * phase
+
+
+def _shell_rotation(theta: float, dim1: int, dim2: int, total: int):
+    """Flat indices and block of R on the shell n1 + n2 = total.
+
+    Ordered by ascending n1, a+ b steps from (n1, n2) to (n1 + 1, n2 - 1)
+    with amplitude sqrt((n1 + 1) n2), so theta (a+ b - a b+) is the hopping
+    generator of _expm_hopping with c = -theta. The truncated mixer never
+    leaves a shell, so the blocks are exact on truncated shells too.
+    """
+    n1 = np.arange(max(0, total - dim2 + 1), min(total, dim1 - 1) + 1)
+    n2 = total - n1
+    hop = np.sqrt((n1[:-1] + 1.0) * n2[:-1])
+    return n1 * dim2 + n2, _expm_hopping(hop, -theta)
 
 
 def mode_rotation_unitary(rot: ModeRotation, dim1: int, dim2: int) -> ComplexMatrix:
@@ -124,18 +148,17 @@ def mode_rotation_unitary(rot: ModeRotation, dim1: int, dim2: int) -> ComplexMat
 
     Sign convention (fixed once against a small-dim oracle):
     R+ a R = cos(theta) a + sin(theta) b, and R|alpha, beta> is the coherent
-    product with forward-rotated amplitudes.
+    product with forward-rotated amplitudes. The mixer conserves n1 + n2, so
+    R is assembled from one beam-splitter block per total-photon shell.
     """
     if dim1 < 2 or dim2 < 2:
         raise DimTooSmall("mode_rotation_unitary needs dims >= 2")
-    key = (dim1, dim2)
-    if key not in _mixer_eig_cache:
-        a = np.kron(ladder_matrix(dim1), np.eye(dim2))
-        b = np.kron(np.eye(dim1), ladder_matrix(dim2))
-        mixer = a.conj().T @ b - a @ b.conj().T
-        _mixer_eig_cache[key] = np.linalg.eigh(1j * mixer)
-    w, vecs = _mixer_eig_cache[key]
-    return (vecs * np.exp(-1j * rot.theta * w)) @ vecs.conj().T
+    size = dim1 * dim2
+    out = np.zeros((size, size), dtype=np.complex128)
+    for total in range(dim1 + dim2 - 1):
+        idx, block = _shell_rotation(rot.theta, dim1, dim2, total)
+        out[np.ix_(idx, idx)] = block
+    return out
 
 
 def squeeze_composition(rot: ModeRotation, z1: complex, z2: complex):
@@ -198,45 +221,52 @@ def squeeze_identity_residual(
     Applies S_1(z1) S_2(z2) and exp(p* A B - p A+ B+) S_I(q) S_II(q) to the
     complete-shell basis columns with n1 + n2 <= input_cap and returns the
     2-norm of the difference restricted to rows with n1 + n2 <= row_cap
-    (default: input_cap). Uses sparse Krylov exponentials so dim ~ 60 per
-    mode stays cheap.
+    (default: input_cap). With A = R+ a R and B = R+ b R the right side is
+    R+ TMS(p) (S(q) x S(q)) R, where TMS(p) = exp(p* a b - p a+ b+) conserves
+    n1 - n2. R and R+ act shell by shell, and only the shells up to the caps
+    are needed.
     """
-    import scipy.sparse as sp
-    from scipy.sparse.linalg import expm_multiply
-
     if row_cap is None:
         row_cap = input_cap
-    z1 = complex(z1)
-    z2 = complex(z2)
     p, q = squeeze_composition(rot, z1, z2)
-    ident = sp.identity(dim, format="csr")
-    a = sp.kron(sp.csr_matrix(ladder_matrix(dim)), ident, format="csr")
-    b = sp.kron(ident, sp.csr_matrix(ladder_matrix(dim)), format="csr")
-    c = math.cos(rot.theta)
-    s = math.sin(rot.theta)
-    mode_i = c * a + s * b
-    mode_ii = -s * a + c * b
+    a = ladder_matrix(dim)
 
-    def squeeze_gen(z, op):
-        return 0.5 * (np.conj(z) * (op @ op) - z * (op.conj().T @ op.conj().T))
+    def squeeze(z):
+        return expm_antihermitian(0.5 * (np.conj(z) * (a @ a) - z * (a.T @ a.T)))
 
-    cols = total_photon_shell_indices(dim, dim, input_cap)
-    probe = np.zeros((dim * dim, cols.size), dtype=np.complex128)
-    probe[cols, np.arange(cols.size)] = 1.0
+    top = min(max(input_cap, row_cap), 2 * dim - 2)
+    shells = [_shell_rotation(rot.theta, dim, dim, n) for n in range(top + 1)]
+    probe = shells[: input_cap + 1]
+    # one row per probe column (n1 + n2 <= input_cap), over the flat two-mode
+    # basis; the 2-norm does not depend on the order of rows or columns
+    m1, m2 = np.divmod(np.concatenate([idx for idx, _ in probe]), dim)
 
-    left = expm_multiply(squeeze_gen(z2, b), probe)
-    left = expm_multiply(squeeze_gen(z1, a), left)
+    # S_1(z1) S_2(z2) |m1, m2> = S_1[:, m1] x S_2[:, m2]
+    left = squeeze(z1)[:, m1].T[:, :, None] * squeeze(z2)[:, m2].T[:, None, :]
+    left = left.reshape(m1.size, dim * dim)
 
-    right = expm_multiply(squeeze_gen(q, mode_ii), probe)
-    right = expm_multiply(squeeze_gen(q, mode_i), right)
+    right = np.zeros((m1.size, dim * dim), dtype=np.complex128)
+    start = 0
+    for idx, block in probe:
+        right[start : start + idx.size, idx] = block.T
+        start += idx.size
+    s_q = squeeze(q)
+    right = (s_q @ right.reshape(m1.size, dim, dim) @ s_q.T).reshape(m1.size, -1)
     if p != 0:
-        cross = np.conj(p) * (mode_i @ mode_ii) - p * (
-            mode_i.conj().T @ mode_ii.conj().T
-        )
-        right = expm_multiply(cross, right)
+        for offset in range(1 - dim, dim):
+            n2 = np.arange(max(0, -offset), min(dim, dim - offset))
+            n1 = n2 + offset
+            # ordered by ascending n2, a b steps from (n1, n2) to
+            # (n1 - 1, n2 - 1) with amplitude sqrt(n1 n2)
+            gate = _expm_hopping(np.sqrt(n1[1:] * n2[1:]), p)
+            flat = n1 * dim + n2
+            right[:, flat] = right[:, flat] @ gate.T
 
-    rows = total_photon_shell_indices(dim, dim, row_cap)
-    return float(np.linalg.norm((left - right)[rows, :], 2))
+    rows = shells[: row_cap + 1]
+    resid = np.concatenate(
+        [left[:, idx] - right[:, idx] @ block.conj() for idx, block in rows], axis=1
+    )
+    return float(np.linalg.norm(resid, 2))
 
 
 def decouple_params(

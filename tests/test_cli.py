@@ -47,6 +47,18 @@ def test_validate_scenario_passes(tmp_path):
     assert len(rows) == 1 + len(checks)
 
 
+def test_failed_validate_exits_3_after_summary(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(
+        "quasicat.cli.squeeze_identity_residual", lambda *args, **kwargs: 1.0
+    )
+    out = str(tmp_path / "v")
+    assert main(["validate", "--out", out, "--trials", "1"]) == 3
+    summary = _read_summary(out)["summary"]
+    assert summary["all_passed"] is False
+    assert summary["checks"]["squeeze_operator_identity"] == 1.0
+    assert "squeeze_operator_identity" in capsys.readouterr().err
+
+
 def test_zero_detuning_outputs(tmp_path):
     out = str(tmp_path / "z")
     code = main(

@@ -1,8 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import quasicat
 from quasicat import (
     AmplitudePair,
     BasisMismatch,
@@ -146,6 +153,24 @@ def test_mode_rotation_preserves_total_photon():
     assert np.linalg.norm(diff, 2) < 1e-9
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    theta=st.floats(-math.pi, math.pi),
+    dim1=st.integers(2, 9),
+    dim2=st.integers(2, 9),
+)
+def test_mode_rotation_unitary_matches_dense_expm(theta, dim1, dim2):
+    # the truncated mixer never leaves a total-photon shell, so the shell
+    # blocks reproduce the dense exponential on every shell, edge included
+    rot = rotation_params(math.cos(theta), math.sin(theta))
+    a = np.kron(ladder_matrix(dim1), np.eye(dim2))
+    b = np.kron(np.eye(dim1), ladder_matrix(dim2))
+    dense = scipy.linalg.expm(rot.theta * (a.conj().T @ b - a @ b.conj().T))
+    r = mode_rotation_unitary(rot, dim1, dim2)
+    assert np.abs(r - dense).max() <= 1e-12
+    assert np.abs(r.conj().T @ r - np.eye(dim1 * dim2)).max() <= 1e-12
+
+
 def test_mode_rotation_unitary_dim_guard():
     with pytest.raises(DimTooSmall):
         mode_rotation_unitary(rotation_params(1.0, 1.0), 1, 6)
@@ -184,6 +209,31 @@ def test_squeeze_identity_balanced_real():
         rotation_params(1.0, 1.0), 0.1, 0.35, dim=30, input_cap=6
     )
     assert resid < 1e-6
+
+
+def test_squeeze_identity_detects_invalid_composition():
+    # unequal parameters away from theta = pi/4: the factorized form is wrong
+    resid = squeeze_identity_residual(
+        rotation_params(1.0, 0.5), 0.4, -0.2, dim=30, input_cap=6
+    )
+    assert resid > 0.1
+
+
+def test_validate_runs_without_scipy(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(quasicat.__file__)))
+    argv = ["validate", "--out", str(tmp_path / "v"), "--trials", "1"]
+    code = (
+        "import sys\n"
+        "from quasicat.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "assert 'scipy' not in sys.modules\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_quasi_phase_identity():
