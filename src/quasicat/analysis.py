@@ -9,7 +9,6 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from . import _kernels
 from .errors import (
     BadSubsystem,
     BasisMismatch,
@@ -195,6 +194,21 @@ def _as_axis(spec, default_limit: float, count: int) -> np.ndarray:
     raise GridTooSmall("axis needs at least two points")
 
 
+def _husimi_grid(rho, re_axis, im_axis):
+    """Q(alpha) = <alpha|rho|alpha>/pi on a rectangular grid.
+
+    Returns values[i, j] for alpha = re_axis[j] + 1i im_axis[i].
+    """
+    d = rho.shape[0]
+    alphas = (re_axis[None, :] + 1j * im_axis[:, None]).ravel()
+    coh = np.empty((alphas.size, d), dtype=np.complex128)
+    coh[:, 0] = np.exp(-0.5 * np.abs(alphas) ** 2)
+    for n in range(1, d):
+        coh[:, n] = coh[:, n - 1] * alphas / np.sqrt(n)
+    q = np.einsum("pr,pr->p", np.conj(coh), coh @ rho.T).real / np.pi
+    return q.reshape(im_axis.size, re_axis.size)
+
+
 def husimi_q(
     rho: DensityMatrix,
     re_axis: Optional[Sequence[float]] = None,
@@ -221,6 +235,6 @@ def husimi_q(
                 f"axis reaches {max(abs(axis[0]), abs(axis[-1])):.2f} but the state"
                 f" needs {required:.2f}"
             )
-    values = _kernels.husimi_grid(rho.matrix, re_axis, im_axis)
+    values = _husimi_grid(rho.matrix, re_axis, im_axis)
     values = np.maximum(values, 0.0)
     return PhaseSpaceGrid(re_axis, im_axis, values)

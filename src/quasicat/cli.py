@@ -132,6 +132,25 @@ _INT_KEYS = {
 }
 _STR_KEYS = {"out", "basis", "ratios"}
 
+# (scenario, key) -> allowed values; checked after conversion, so a config
+# file and a flag are held to the same choices
+_CHOICES = {
+    ("zero-detuning", "convention"): (-1, 0, 1),
+    ("qfunc", "convention"): (-1, 1),
+    ("large-detuning", "basis"): ("plusminus", "energy"),
+}
+
+# smallest allowed value of each integer key
+_MINIMUMS = {
+    "seed": 0,
+    "trials": 1,
+    "t_steps": 2,
+    "grid_points": 2,
+    "n_max": 0,
+    "dim": 1,
+    "dim2": 1,
+}
+
 
 @dataclass
 class ScenarioConfig:
@@ -167,6 +186,29 @@ def _convert(key: str, raw: str):
         raise ConfigInvalid(f"cannot parse {key}={raw!r}: {exc}") from None
 
 
+def _check(scenario: str, values: dict):
+    """Range checks on converted values; unset (None) keys are skipped."""
+    for key, value in values.items():
+        if value is None:
+            continue
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigInvalid(f"{key} must be finite, got {value}")
+        allowed = _CHOICES.get((scenario, key))
+        if allowed is not None and value not in allowed:
+            choices = ", ".join(str(a) for a in allowed)
+            raise ConfigInvalid(f"{key} must be one of {choices}, got {value!r}")
+        if key in _MINIMUMS and value < _MINIMUMS[key]:
+            raise ConfigInvalid(f"{key} must be >= {_MINIMUMS[key]}, got {value}")
+    if not values["out"]:
+        raise ConfigInvalid("out must name a directory")
+    if not 0.0 < values["leak_tol"] < 1.0:
+        raise ConfigInvalid(f"leak_tol must lie in (0, 1), got {values['leak_tol']}")
+    if "g" in values and values["g"] <= 0:
+        raise ConfigInvalid(f"coupling g must be positive, got {values['g']}")
+    if "ratios" in values:
+        _parse_ratios(values["ratios"])
+
+
 def parse_config_file(path: str) -> dict:
     """Flat key=value lines; blank lines and # comments ignored."""
     if not os.path.exists(path):
@@ -185,6 +227,8 @@ def parse_config_file(path: str) -> dict:
 
 
 def resolve_config(scenario: str, namespace: argparse.Namespace) -> ScenarioConfig:
+    """defaults < file < flags; file and flag values are raw strings that go
+    through the same conversion and checks."""
     defaults = dict(COMMON_DEFAULTS)
     defaults.update(SCENARIO_DEFAULTS[scenario])
     values = dict(defaults)
@@ -197,7 +241,8 @@ def resolve_config(scenario: str, namespace: argparse.Namespace) -> ScenarioConf
     for key in defaults:
         flag_value = getattr(namespace, key, None)
         if flag_value is not None:
-            values[key] = flag_value
+            values[key] = _convert(key, flag_value)
+    _check(scenario, values)
     return ScenarioConfig(scenario, values)
 
 
@@ -412,10 +457,7 @@ def run_zero_detuning(cfg: ScenarioConfig) -> RunReport:
     revival = half_revival_time(nbar, rot.g)
     t_star = protocol_time(nbar, rot.g)
     t_max = cfg["t_max"] if cfg["t_max"] is not None else revival
-    steps = cfg["t_steps"]
-    if steps < 2:
-        raise ConfigInvalid("t_steps must be >= 2")
-    times = np.linspace(0.0, t_max, steps)
+    times = np.linspace(0.0, t_max, cfg["t_steps"])
     dt = times[1] - times[0]
 
     conventions = (1, -1) if cfg["convention"] == 0 else (cfg["convention"],)
@@ -481,8 +523,6 @@ def run_zero_detuning(cfg: ScenarioConfig) -> RunReport:
 
 def run_large_detuning(cfg: ScenarioConfig) -> RunReport:
     g = cfg["g"]
-    if g <= 0:
-        raise ConfigInvalid("coupling g must be positive")
     delta = cfg["ratio"] * g
     nbar = cfg["nbar"]
     if nbar <= 0:
@@ -490,19 +530,17 @@ def run_large_detuning(cfg: ScenarioConfig) -> RunReport:
     mu = math.sqrt(nbar)
     atom = _atom_amps(cfg)
     dim1 = cfg["dim"] or suggested_dim(mu) + 12
-    dim2 = 2  # spectator slot kept minimal
     t_prime = math.pi * delta / (2.0 * g * g)
 
     init = product_state(
-        coherent_state(mu, dim1, cfg["leak_tol"]), basis_state(0, dim2), atom, "quasi"
+        coherent_state(mu, dim1, cfg["leak_tol"]), basis_state(0, 1), atom, "quasi"
     )
-    ham = build_hamiltonian(HamiltonianSpec.quasi_jc(g, delta), dim1, dim2)
-    propagator = HermitianPropagator(ham)
 
+    # the oracle is the exact block solution of the quasiJC Hamiltonian
     times = np.linspace(0.0, t_prime, cfg["t_steps"])
     rows = []
     for t in times:
-        oracle_state = propagator.evolve(init, t)
+        oracle_state = evolve_exact_jc(init, t, g, delta)
         effective_state = evolve_effective(init, t, g, delta)
         fid = abs(np.vdot(oracle_state.tensor, effective_state.tensor)) ** 2
         inversion = float(
@@ -514,7 +552,7 @@ def run_large_detuning(cfg: ScenarioConfig) -> RunReport:
     # branch analysis on the dispersive prediction: the protocol's two
     # entangled-coherent outputs live there; the oracle enters through the
     # fidelity track and the diagnostic overlap below
-    final = propagator.evolve(init, t_prime)
+    final = evolve_exact_jc(init, t_prime, g, delta)
     effective_final = evolve_effective(init, t_prime, g, delta)
     plus, minus = measure_atom(effective_final, cfg["basis"])
     if plus.post_state is not None and minus.post_state is not None:
@@ -567,6 +605,8 @@ def _parse_ratios(raw: str):
         raise ConfigInvalid(f"bad ratios list {raw!r}: {exc}") from None
     if not ratios:
         raise ConfigInvalid("ratios list is empty")
+    if not all(math.isfinite(ratio) for ratio in ratios):
+        raise ConfigInvalid(f"ratios must be finite, got {raw!r}")
     return ratios
 
 
@@ -766,80 +806,34 @@ def emit(report: RunReport, out_dir: str):
         write_qgrid(os.path.join(out_dir, "qgrid.csv"), report.qgrid)
 
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--config", type=str, default=None, help="key=value file")
-    parser.add_argument("--out", type=str, default=None, help="output directory")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--leak-tol", dest="leak_tol", type=float, default=None)
-    parser.add_argument("--dim", type=int, default=None)
+SCENARIO_HELP = {
+    "validate": "transformation identity checks",
+    "zero-detuning": "resonant cat preparation",
+    "large-detuning": "dispersive preparation + measurement",
+    "adiabatic-sweep": "elimination residual scaling",
+    "qfunc": "Husimi-Q grid of the cat target",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per scenario and one flag per config key: key foo_bar
+    is --foo-bar. Flags take raw strings; resolve_config converts and checks
+    them exactly like config-file values."""
     parser = argparse.ArgumentParser(
         prog="quasicat",
         description="Two-mode cavity simulator: quasi-mode reduction and "
         "entangled coherent state preparation.",
     )
     sub = parser.add_subparsers(dest="scenario", required=True)
-
-    p = sub.add_parser("validate", help="transformation identity checks")
-    _add_common(p)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--g1", type=float, default=None)
-    p.add_argument("--g2", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--t", type=float, default=None)
-
-    p = sub.add_parser("zero-detuning", help="resonant cat preparation")
-    _add_common(p)
-    p.add_argument("--nbar", type=float, default=None)
-    p.add_argument("--g1", type=float, default=None)
-    p.add_argument("--g2", type=float, default=None)
-    p.add_argument("--alpha-re", dest="alpha_re", type=float, default=None)
-    p.add_argument("--alpha-im", dest="alpha_im", type=float, default=None)
-    p.add_argument("--beta-re", dest="beta_re", type=float, default=None)
-    p.add_argument("--beta-im", dest="beta_im", type=float, default=None)
-    p.add_argument("--gamma-re", dest="gamma_re", type=float, default=None)
-    p.add_argument("--gamma-im", dest="gamma_im", type=float, default=None)
-    p.add_argument("--delta-amp-re", dest="delta_amp_re", type=float, default=None)
-    p.add_argument("--delta-amp-im", dest="delta_amp_im", type=float, default=None)
-    p.add_argument("--t-max", dest="t_max", type=float, default=None)
-    p.add_argument("--t-steps", dest="t_steps", type=int, default=None)
-    p.add_argument("--dim2", type=int, default=None)
-    p.add_argument(
-        "--convention",
-        type=int,
-        choices=(-1, 0, 1),
-        default=None,
-        help="cat branch sign; 0 reports the better of the two",
-    )
-
-    p = sub.add_parser("large-detuning", help="dispersive preparation + measurement")
-    _add_common(p)
-    p.add_argument("--nbar", type=float, default=None)
-    p.add_argument("--g", type=float, default=None)
-    p.add_argument("--ratio", type=float, default=None, help="delta / g")
-    p.add_argument("--gamma-re", dest="gamma_re", type=float, default=None)
-    p.add_argument("--gamma-im", dest="gamma_im", type=float, default=None)
-    p.add_argument("--delta-amp-re", dest="delta_amp_re", type=float, default=None)
-    p.add_argument("--delta-amp-im", dest="delta_amp_im", type=float, default=None)
-    p.add_argument("--t-steps", dest="t_steps", type=int, default=None)
-    p.add_argument("--basis", type=str, choices=("plusminus", "energy"), default=None)
-
-    p = sub.add_parser("adiabatic-sweep", help="elimination residual scaling")
-    _add_common(p)
-    p.add_argument("--g", type=float, default=None)
-    p.add_argument("--ratios", type=str, default=None, help="comma list of delta/g")
-    p.add_argument("--n-max", dest="n_max", type=int, default=None)
-
-    p = sub.add_parser("qfunc", help="Husimi-Q grid of the cat target")
-    _add_common(p)
-    p.add_argument("--nbar", type=float, default=None)
-    p.add_argument("--mu-re", dest="mu_re", type=float, default=None)
-    p.add_argument("--mu-im", dest="mu_im", type=float, default=None)
-    p.add_argument("--convention", type=int, choices=(-1, 1), default=None)
-    p.add_argument("--grid-points", dest="grid_points", type=int, default=None)
-
+    for scenario, help_text in SCENARIO_HELP.items():
+        p = sub.add_parser(scenario, help=help_text)
+        defaults = {"config": None, **COMMON_DEFAULTS, **SCENARIO_DEFAULTS[scenario]}
+        for key, default in defaults.items():
+            p.add_argument(
+                "--" + key.replace("_", "-"),
+                dest=key,
+                help="key=value file" if key == "config" else f"default: {default}",
+            )
     return parser
 
 

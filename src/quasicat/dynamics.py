@@ -20,7 +20,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import _kernels
 from .errors import (
     BadSubsystem,
     BasisMismatch,
@@ -349,6 +348,35 @@ def evolve_oracle(ham: ComplexMatrix, state: SystemState, t: float) -> SystemSta
     return HermitianPropagator(ham).evolve(state, t)
 
 
+def _jc_propagate(psi, g, delta, t):
+    """Advance a (dim_I, batch, 2) quasi-basis tensor by exp(-iHt) under the
+    resonant-or-detuned single-mode atom coupling.
+
+    Column 0 is the lower atomic level, column 1 the upper. Pairs
+    (n, upper) <-> (n+1, lower) mix inside 2x2 blocks with Rabi frequency
+    sqrt(delta^2 + 4 g^2 (n+1)); the lone (0, lower) level and the
+    truncation-edge (dim-1, upper) level only pick up bare detuning phases.
+    """
+    d = psi.shape[0]
+    out = np.empty_like(psi)
+    edge = np.exp(0.5j * delta * t)
+    out[0, :, 0] = psi[0, :, 0] * edge
+    out[d - 1, :, 1] = psi[d - 1, :, 1] * np.conj(edge)
+    if d > 1:
+        n = np.arange(d - 1, dtype=np.float64)
+        omega = np.sqrt(delta * delta + 4.0 * g * g * (n + 1.0))
+        half = 0.5 * omega * t
+        co = np.cos(half)
+        si = np.sin(half)
+        diag = (co - 1j * (delta / omega) * si)[:, None]
+        mix = (-2j * g * np.sqrt(n + 1.0) / omega * si)[:, None]
+        upper = psi[:-1, :, 1]
+        lower = psi[1:, :, 0]
+        out[:-1, :, 1] = diag * upper + mix * lower
+        out[1:, :, 0] = mix * upper + np.conj(diag) * lower
+    return out
+
+
 def evolve_exact_jc(
     state: SystemState, t: float, g: float, delta: float = 0.0
 ) -> SystemState:
@@ -361,7 +389,7 @@ def evolve_exact_jc(
         raise BasisMismatch("evolve_exact_jc expects a quasi-basis state")
     if state.tensor.shape[2] != 2:
         raise DimensionMismatch("state needs an atom axis of size 2")
-    out = _kernels.jc_propagate(state.tensor, g, delta, t)
+    out = _jc_propagate(state.tensor, float(g), float(delta), float(t))
     return SystemState(out, QUASI)
 
 

@@ -1,11 +1,14 @@
 import json
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quasicat.cli import main
+from quasicat.cli import COMMON_DEFAULTS, SCENARIO_DEFAULTS, build_parser, main
 
 
 def _read_summary(out_dir):
@@ -237,3 +240,113 @@ def test_timeseries_values_are_finite(tmp_path):
         os.path.join(out, "timeseries.csv"), delimiter=",", skiprows=1
     )
     assert np.isfinite(body).all()
+
+
+def _keys(scenario):
+    return {**COMMON_DEFAULTS, **SCENARIO_DEFAULTS[scenario]}
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIO_DEFAULTS))
+def test_parser_flags_come_from_key_table(scenario):
+    parser = build_parser()
+    dests = set(vars(parser.parse_args([scenario]))) - {"scenario"}
+    assert dests == {"config"} | set(_keys(scenario))
+    for key in _keys(scenario):
+        # flags hand the raw string on; resolve_config converts it
+        assert getattr(parser.parse_args([scenario, _flag(key), "7"]), key) == "7"
+
+
+@pytest.mark.parametrize(
+    "scenario, key, value",
+    [("large-detuning", "basis", "foo"), ("qfunc", "convention", "0")],
+)
+def test_file_and_flag_share_choices(tmp_path, capsys, scenario, key, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    out = str(tmp_path / "o")
+    assert main([scenario, "--config", str(cfg), "--out", out]) == 2
+    file_err = capsys.readouterr().err
+    assert main([scenario, _flag(key), value, "--out", out]) == 2
+    assert capsys.readouterr().err == file_err
+    assert key in file_err
+    assert not os.path.exists(out)
+
+
+def test_zero_detuning_accepts_convention_zero(tmp_path):
+    out = str(tmp_path / "z")
+    argv = ["zero-detuning", "--out", out, "--nbar", "4", "--t-steps", "3"]
+    assert main(argv + ["--convention", "0"]) == 0
+
+
+@pytest.mark.parametrize(
+    "scenario, key, value",
+    [
+        ("zero-detuning", "nbar", "nan"),
+        ("zero-detuning", "nbar", "inf"),
+        ("zero-detuning", "leak_tol", "nan"),
+        ("zero-detuning", "leak_tol", "0"),
+        ("zero-detuning", "leak_tol", "1"),
+        ("zero-detuning", "dim2", "0"),
+        ("zero-detuning", "t_steps", "1"),
+        ("qfunc", "mu_re", "nan"),
+        ("qfunc", "grid_points", "1"),
+        ("qfunc", "grid_points", "0"),
+        ("adiabatic-sweep", "n_max", "-1"),
+        ("adiabatic-sweep", "g", "nan"),
+        ("adiabatic-sweep", "g", "0"),
+        ("adiabatic-sweep", "ratios", "20,nan"),
+        ("validate", "seed", "-1"),
+        ("validate", "trials", "0"),
+        ("validate", "trials", "-2"),
+        ("validate", "dim", "0"),
+        ("large-detuning", "t_steps", "0"),
+        ("large-detuning", "g", "nan"),
+        ("large-detuning", "out", ""),
+    ],
+)
+def test_bad_value_is_config_error_naming_key(tmp_path, capsys, scenario, key, value):
+    out = str(tmp_path / "o")
+    assert main([scenario, "--out", out, f"{_flag(key)}={value}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert key in err
+    assert not os.path.exists(out)
+
+
+FUZZ_VALUES = ("nan", "inf", "-inf", "-1", "0", "1", "abc", "")
+
+# cheap settings so an example takes milliseconds; the fuzzed flag comes last
+# and overrides any of them
+FUZZ_BASE = {
+    "validate": ["--trials", "1"],
+    "zero-detuning": ["--nbar", "4", "--t-steps", "4"],
+    "large-detuning": ["--nbar", "1", "--t-steps", "4"],
+    "adiabatic-sweep": ["--ratios", "20,40", "--dim", "20", "--n-max", "4"],
+    "qfunc": ["--nbar", "4", "--grid-points", "21"],
+}
+
+
+@st.composite
+def _fuzz_case(draw):
+    scenario = draw(st.sampled_from(sorted(SCENARIO_DEFAULTS)))
+    key = draw(st.sampled_from(sorted(_keys(scenario))))
+    return scenario, key, draw(st.sampled_from(FUZZ_VALUES))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_fuzz_case())
+def test_any_single_bad_value_exits_cleanly(case):
+    scenario, key, value = case
+    argv = [scenario, "--out", "o", *FUZZ_BASE[scenario], f"{_flag(key)}={value}"]
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        # a fuzzed --out is a relative path; keep it inside the temporary dir
+        os.chdir(scratch)
+        try:
+            assert main(argv) in (0, 2, 3)
+        finally:
+            os.chdir(cwd)

@@ -260,6 +260,14 @@ def test_exact_jc_matches_oracle():
     slow = evolve_oracle(h, st, 3.2)
     assert abs(np.vdot(slow.tensor, fast.tensor)) ** 2 >= 1.0 - 1e-10
 
+    # dispersive regime at the large-detuning protocol time pi delta / (2 g^2)
+    g, delta = 0.5, 60.0
+    t = math.pi * delta / (2.0 * g * g)
+    h = build_hamiltonian(HamiltonianSpec.quasi_jc(g, delta), 10, 4)
+    fast = evolve_exact_jc(st, t, g, delta)
+    slow = evolve_oracle(h, st, t)
+    assert np.abs(slow.tensor - fast.tensor).max() <= 1e-10
+
 
 def test_exact_jc_spectator_mode_untouched():
     rng = np.random.default_rng(4)

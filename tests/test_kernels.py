@@ -1,12 +1,9 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 import scipy.linalg
 
-from quasicat import _kernels
+from quasicat.analysis import _husimi_grid
+from quasicat.dynamics import _jc_propagate
 from quasicat.fock import coherent_state, ladder_matrix
 
 
@@ -29,7 +26,7 @@ def test_jc_propagate_matches_expm(delta):
     dim, g, t = 16, 1.3, 2.7
     rng = np.random.default_rng(3)
     psi = _random_state(rng, dim, 1)
-    out = _kernels.jc_propagate(psi, g, delta, t)
+    out = _jc_propagate(psi, g, delta, t)
     u = scipy.linalg.expm(-1j * t * _jc_hamiltonian(dim, g, delta))
     expected = (u @ psi[:, 0, :].ravel()).reshape(dim, 1, 2)
     assert np.abs(out - expected).max() < 1e-12
@@ -38,7 +35,7 @@ def test_jc_propagate_matches_expm(delta):
 def test_jc_propagate_preserves_norm():
     rng = np.random.default_rng(5)
     psi = _random_state(rng, 24, 3)
-    out = _kernels.jc_propagate(psi, 0.9, 1.4, 5.0)
+    out = _jc_propagate(psi, 0.9, 1.4, 5.0)
     assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
 
@@ -46,29 +43,10 @@ def test_jc_propagate_batch_axis_is_independent():
     # evolving a batch equals evolving each column separately
     rng = np.random.default_rng(8)
     psi = _random_state(rng, 12, 4)
-    out = _kernels.jc_propagate(psi, 1.1, 0.3, 1.9)
+    out = _jc_propagate(psi, 1.1, 0.3, 1.9)
     for j in range(4):
-        single = _kernels.jc_propagate(psi[:, j : j + 1, :].copy(), 1.1, 0.3, 1.9)
+        single = _jc_propagate(psi[:, j : j + 1, :].copy(), 1.1, 0.3, 1.9)
         assert np.abs(out[:, j : j + 1, :] - single).max() < 1e-13
-
-
-def test_kernel_paths_agree():
-    if not _kernels.HAS_NUMBA:
-        pytest.skip("numba unavailable")
-    rng = np.random.default_rng(13)
-    psi = _random_state(rng, 30, 2)
-    out_nb = _kernels._jc_propagate_numba(np.ascontiguousarray(psi), 1.2, 0.5, 3.3)
-    out_np = _kernels._jc_propagate_numpy(psi, 1.2, 0.5, 3.3)
-    assert np.abs(out_nb - out_np).max() < 1e-13
-
-    rho = rng.normal(size=(20, 20)) + 1j * rng.normal(size=(20, 20))
-    rho = rho @ rho.conj().T
-    rho /= np.trace(rho).real
-    re = np.linspace(-2, 2, 17)
-    im = np.linspace(-2, 2, 19)
-    q_nb = _kernels._husimi_grid_numba(np.ascontiguousarray(rho), re, im)
-    q_np = _kernels._husimi_grid_numpy(rho, re, im)
-    assert np.abs(q_nb - q_np).max() < 1e-13
 
 
 def test_husimi_grid_against_coherent_overlap():
@@ -77,24 +55,10 @@ def test_husimi_grid_against_coherent_overlap():
     rho = np.outer(psi, np.conj(psi))
     re = np.array([0.0, 0.8, -1.0])
     im = np.array([0.5, -0.5])
-    q = _kernels.husimi_grid(rho, re, im)
+    q = _husimi_grid(rho, re, im)
     assert q.shape == (2, 3)
     for i, y in enumerate(im):
         for j, x in enumerate(re):
             probe = coherent_state(complex(x, y), dim).amps
             expected = abs(np.vdot(probe, psi)) ** 2 / np.pi
             assert abs(q[i, j] - expected) < 1e-12
-
-
-def test_env_flag_disables_numba():
-    env = dict(os.environ, QUASICAT_DISABLE_NUMBA="1")
-    code = "from quasicat import _kernels; print(_kernels.using_numba())"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0
-    assert out.stdout.strip() == "False"
-
-
-def test_using_numba_reports_dispatch():
-    assert _kernels.using_numba() == (_kernels.HAS_NUMBA and not _kernels._DISABLED)
