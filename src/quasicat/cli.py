@@ -41,7 +41,7 @@ from .dynamics import (
     protocol_time,
 )
 from .errors import ConfigInvalid, NormViolation, QuasicatError
-from .fock import basis_state, coherent_state, suggested_dim
+from .fock import basis_state, coherent_nbar, coherent_state, suggested_dim
 from .modes import (
     AmplitudePair,
     decouple_params,
@@ -91,7 +91,6 @@ SCENARIO_DEFAULTS = {
         "delta_amp_im": 0.0,
         "t_max": None,
         "t_steps": 240,
-        "dim2": None,
         "convention": 0,
     },
     "large-detuning": {
@@ -123,7 +122,6 @@ SCENARIO_DEFAULTS = {
 _INT_KEYS = {
     "seed",
     "dim",
-    "dim2",
     "t_steps",
     "n_max",
     "grid_points",
@@ -148,7 +146,6 @@ _MINIMUMS = {
     "grid_points": 2,
     "n_max": 0,
     "dim": 1,
-    "dim2": 1,
 }
 
 
@@ -203,8 +200,9 @@ def _check(scenario: str, values: dict):
         raise ConfigInvalid("out must name a directory")
     if not 0.0 < values["leak_tol"] < 1.0:
         raise ConfigInvalid(f"leak_tol must lie in (0, 1), got {values['leak_tol']}")
-    if "g" in values and values["g"] <= 0:
-        raise ConfigInvalid(f"coupling g must be positive, got {values['g']}")
+    for key in ("g", "nbar"):
+        if key in values and values[key] <= 0:
+            raise ConfigInvalid(f"{key} must be positive, got {values[key]}")
     if "ratios" in values:
         _parse_ratios(values["ratios"])
 
@@ -428,11 +426,9 @@ def run_zero_detuning(cfg: ScenarioConfig) -> RunReport:
         beta = complex(cfg["beta_re"] or 0.0, cfg["beta_im"] or 0.0)
         quasi_pair = rotate_amplitudes(rot, AmplitudePair(alpha, beta), "forward")
         mu, nu = quasi_pair.first, quasi_pair.second
-        nbar = abs(mu) ** 2
+        nbar = coherent_nbar(mu)
     else:
         nbar = cfg["nbar"]
-        if nbar <= 0:
-            raise ConfigInvalid("need a positive mean photon number")
         mu = -1j * math.sqrt(nbar)
         nu = 0.0
         physical = rotate_amplitudes(
@@ -444,14 +440,9 @@ def run_zero_detuning(cfg: ScenarioConfig) -> RunReport:
 
     atom = _atom_amps(cfg)
     dim1 = cfg["dim"] or suggested_dim(mu) + 12
-    dim2 = cfg["dim2"] or (1 if abs(nu) < 1e-12 else suggested_dim(nu) + 12)
-    mode2 = (
-        basis_state(0, 1)
-        if dim2 == 1
-        else coherent_state(nu, dim2, cfg["leak_tol"])
-    )
+    # quasi mode II never couples: |nu> stays analytic, in a size-1 slot
     state = product_state(
-        coherent_state(mu, dim1, cfg["leak_tol"]), mode2, atom, "quasi"
+        coherent_state(mu, dim1, cfg["leak_tol"]), basis_state(0, 1), atom, "quasi"
     )
 
     revival = half_revival_time(nbar, rot.g)
@@ -497,7 +488,7 @@ def run_zero_detuning(cfg: ScenarioConfig) -> RunReport:
         "mu": [complex(mu).real, complex(mu).imag],
         "nu": [complex(nu).real, complex(nu).imag],
         "dim1": dim1,
-        "dim2": dim2,
+        "dim2": star_state.tensor.shape[1],
         "revival_time": revival,
         "protocol_time": t_star,
         "atomic_purity_at_protocol": _atom_purity(star_state.tensor),
@@ -525,8 +516,6 @@ def run_large_detuning(cfg: ScenarioConfig) -> RunReport:
     g = cfg["g"]
     delta = cfg["ratio"] * g
     nbar = cfg["nbar"]
-    if nbar <= 0:
-        raise ConfigInvalid("need a positive mean photon number")
     mu = math.sqrt(nbar)
     atom = _atom_amps(cfg)
     dim1 = cfg["dim"] or suggested_dim(mu) + 12
@@ -695,11 +684,9 @@ def _grid_peaks(grid: PhaseSpaceGrid, top: int = 2, min_separation: float = 0.5)
 def run_qfunc(cfg: ScenarioConfig) -> RunReport:
     if cfg["mu_re"] is not None or cfg["mu_im"] is not None:
         mu = complex(cfg["mu_re"] or 0.0, cfg["mu_im"] or 0.0)
-        nbar = abs(mu) ** 2
+        nbar = coherent_nbar(mu)
     else:
         nbar = cfg["nbar"]
-        if nbar <= 0:
-            raise ConfigInvalid("need a positive mean photon number")
         mu = math.sqrt(nbar)
     dim = cfg["dim"] or suggested_dim(mu) + 12
     cat = cat_target(mu, nbar, cfg["convention"], dim, cfg["leak_tol"])

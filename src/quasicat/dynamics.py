@@ -39,7 +39,6 @@ from .fock import (
     LEAK_TOL,
     ComplexMatrix,
     FockVector,
-    basis_state,
     coherent_state,
     expm_antihermitian,
     ladder_matrix,
@@ -418,7 +417,6 @@ def large_amplitude_state(
     delta_amp: complex,
     g: float,
     dim: int,
-    mode2: Optional[FockVector] = None,
     leak_tol: float = LEAK_TOL,
 ) -> SystemState:
     """Closed-form large-amplitude approximation to the resonant evolution.
@@ -430,7 +428,7 @@ def large_amplitude_state(
     with branch phases e^{-+ i g t sqrt(nbar)/2}; at half the revival
     timescale the branches are +-i mu and the atom factors out. Accuracy
     improves with nbar. General (gamma, delta_amp) follows by linearity.
-    mode2 fills the spectator slot (vacuum of size 1 when omitted).
+    Quasi mode II, which never couples, is a size-1 vacuum slot.
     """
     mu = complex(mu)
     if abs(abs(gamma) ** 2 + abs(delta_amp) ** 2 - 1.0) > 1e-10:
@@ -454,11 +452,7 @@ def large_amplitude_state(
     lower = pre_a * field_a * (gamma + delta_amp * eip) + pre_b * field_b * (
         gamma - delta_amp * eip
     )
-    if mode2 is None:
-        mode2 = basis_state(0, 1)
-    tensor = np.zeros((dim, mode2.dim, 2), dtype=np.complex128)
-    tensor[:, :, 0] = lower[:, None] * mode2.amps[None, :]
-    tensor[:, :, 1] = upper[:, None] * mode2.amps[None, :]
+    tensor = np.stack([lower, upper], axis=-1)[:, None, :]
     tensor /= np.linalg.norm(tensor)
     return SystemState(tensor, QUASI)
 
@@ -606,6 +600,8 @@ def _single_mode_atom_ops(dim: int):
 def _elimination_pieces(g: float, delta: float, dim: int, n_max: int):
     if n_max + 8 > dim:
         raise DimTooSmall("need dim >= n_max + 8 so the projector stays interior")
+    if not math.isfinite(g * g):
+        raise NonFiniteInput(f"coupling g^2 is not finite for g = {g}")
     _check_dispersive(abs(g), (delta,))
     a, sz, sp, sm = _single_mode_atom_ops(dim)
     lam = g / delta

@@ -31,6 +31,9 @@ from .errors import (
 # Default ceiling on probability mass allowed beyond the truncation edge.
 LEAK_TOL = 1e-10
 
+# exp(-|alpha|^2 / 2), the vacuum amplitude, underflows past this |alpha|^2.
+NBAR_MAX = -2.0 * math.log(np.finfo(np.float64).tiny)
+
 # Squeezed-vacuum tails decay like tanh(r)^{2m} / (sqrt(pi m) cosh r), so
 # |z| <= 1.5 keeps the tail below LEAK_TOL for dim >= 60.
 SQUEEZE_CAP = 1.5
@@ -87,6 +90,17 @@ def _check_finite_scalar(value: complex, name: str) -> complex:
     return value
 
 
+def coherent_nbar(alpha: complex) -> float:
+    """|alpha|^2, refused above NBAR_MAX before a huge amplitude overflows."""
+    r = abs(_check_finite_scalar(alpha, "alpha"))
+    if r * r > NBAR_MAX:
+        raise ParameterOutOfRange(
+            f"coherent |alpha|^2 = {r * r:.6g} exceeds {NBAR_MAX:.1f},"
+            " where exp(-|alpha|^2/2) underflows"
+        )
+    return r ** 2
+
+
 def suggested_dim(alpha: complex) -> int:
     """Heuristic truncation for a coherent amplitude: |a|^2 + 5|a| + 10."""
     r = abs(alpha)
@@ -112,11 +126,12 @@ def coherent_state(alpha: complex, dim: int, leak_tol: float = LEAK_TOL) -> Fock
     Sizing heuristic: dim >= |alpha|^2 + 5|alpha| + 10 keeps the tail far
     below default leak_tol; the binding check is the tail mass itself.
     """
-    alpha = _check_finite_scalar(alpha, "alpha")
+    vacuum = math.exp(-0.5 * coherent_nbar(alpha))
+    alpha = complex(alpha)
     if dim < 1:
         raise DimTooSmall("dim must be >= 1")
     amps = np.empty(dim, dtype=np.complex128)
-    amps[0] = math.exp(-0.5 * abs(alpha) ** 2)
+    amps[0] = vacuum
     for n in range(1, dim):
         amps[n] = amps[n - 1] * alpha / math.sqrt(n)
     tail = max(0.0, 1.0 - float(np.sum(np.abs(amps) ** 2)))

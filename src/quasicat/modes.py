@@ -77,9 +77,9 @@ def rotation_params(g1: float, g2: float) -> ModeRotation:
     """
     g1 = float(g1)
     g2 = float(g2)
-    if not (math.isfinite(g1) and math.isfinite(g2)):
-        raise NonFiniteInput("couplings must be finite")
     gsq = g1 * g1 + g2 * g2
+    if not math.isfinite(gsq):
+        raise NonFiniteInput(f"g1^2 + g2^2 is not finite for g1 = {g1}, g2 = {g2}")
     if gsq == 0.0:
         raise BothCouplingsZero("g1 = g2 = 0 leaves the rotation undefined")
     return ModeRotation(math.atan2(g2, g1), math.sqrt(gsq), g1, g2)

@@ -290,7 +290,6 @@ def test_zero_detuning_accepts_convention_zero(tmp_path):
         ("zero-detuning", "leak_tol", "nan"),
         ("zero-detuning", "leak_tol", "0"),
         ("zero-detuning", "leak_tol", "1"),
-        ("zero-detuning", "dim2", "0"),
         ("zero-detuning", "t_steps", "1"),
         ("qfunc", "mu_re", "nan"),
         ("qfunc", "grid_points", "1"),
@@ -317,7 +316,33 @@ def test_bad_value_is_config_error_naming_key(tmp_path, capsys, scenario, key, v
     assert not os.path.exists(out)
 
 
-FUZZ_VALUES = ("nan", "inf", "-inf", "-1", "0", "1", "abc", "")
+def test_off_axis_zero_detuning_matches_on_axis(tmp_path):
+    # g1 = g2 puts the rotation at 45 degrees, so these (alpha, beta) rotate to
+    # mu = -2i on quasi mode I, the --nbar 4 state, and nu = 1.5 on mode II;
+    # one --dim for both runs, since suggested_dim may round a rounded |mu| up
+    mu, nu = -2j, 1.5
+    alpha = (mu - nu) / math.sqrt(2.0)
+    beta = (mu + nu) / math.sqrt(2.0)
+    argv = ["zero-detuning", "--g1", "1", "--g2", "1", "--dim", "36", "--t-steps", "80"]
+    on, off = str(tmp_path / "on"), str(tmp_path / "off")
+    assert main(argv + ["--out", on, "--nbar", "4"]) == 0
+    amps = {"alpha": alpha, "beta": beta}
+    for name, amp in amps.items():
+        argv += [f"--{name}-re", repr(amp.real), f"--{name}-im", repr(amp.imag)]
+    assert main(argv + ["--out", off]) == 0
+    summary = _read_summary(off)["summary"]
+    assert summary["mu"] == pytest.approx([0.0, -2.0], abs=1e-12)
+    assert summary["nu"] == pytest.approx([1.5, 0.0], abs=1e-12)
+    assert summary["dim2"] == 1
+    rows = [
+        np.loadtxt(os.path.join(out, "timeseries.csv"), delimiter=",", skiprows=1)
+        for out in (on, off)
+    ]
+    assert rows[0].shape == (80, 5)
+    assert np.abs(rows[1] - rows[0]).max() <= 1e-12
+
+
+FUZZ_VALUES = ("nan", "inf", "-inf", "-1", "0", "1", "abc", "", "1e300", "-1e300")
 
 # cheap settings so an example takes milliseconds; the fuzzed flag comes last
 # and overrides any of them
@@ -350,3 +375,52 @@ def test_any_single_bad_value_exits_cleanly(case):
             assert main(argv) in (0, 2, 3)
         finally:
             os.chdir(cwd)
+
+
+def test_zero_detuning_has_no_dim2_key(tmp_path, capsys):
+    # quasi mode II is carried analytically, so nothing sizes it
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("dim2 = 3\n")
+    assert main(["zero-detuning", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "unknown config key 'dim2'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["zero-detuning", "--dim2", "3", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+
+
+# (scenario, key, value, quantity the message must name)
+HUGE_CASES = [
+    *[
+        (scenario, "nbar", value, "alpha")
+        for scenario in ("zero-detuning", "large-detuning", "qfunc")
+        for value in ("1e300", "1500")
+    ],
+    *[
+        (scenario, key, value, "alpha")
+        for scenario, key in (
+            ("zero-detuning", "alpha_re"),
+            ("zero-detuning", "alpha_im"),
+            ("qfunc", "mu_re"),
+            ("qfunc", "mu_im"),
+        )
+        for value in ("1e300", "-1e300")
+    ],
+    *[
+        ("validate", key, value, "g1^2 + g2^2")
+        for key in ("g1", "g2")
+        for value in ("1e300", "-1e300")
+    ],
+    ("adiabatic-sweep", "g", "1e300", "g^2"),
+]
+
+
+@pytest.mark.parametrize("scenario, key, value, named", HUGE_CASES)
+def test_huge_finite_value_is_numeric_error_naming_it(
+    tmp_path, capsys, scenario, key, value, named
+):
+    out = str(tmp_path / "o")
+    argv = [scenario, "--out", out, *FUZZ_BASE[scenario], f"{_flag(key)}={value}"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("run error (")
+    assert named in err

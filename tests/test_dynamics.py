@@ -276,6 +276,21 @@ def test_exact_jc_spectator_mode_untouched():
     after = partial_trace(evolve_exact_jc(st, 2.9, 1.1, 0.4), "mode2")
     assert trace_distance(before, after) < 1e-10
 
+    # zero-detuning once carried a coherent |nu> on quasi mode II; as the
+    # reference, it must leave the same (mode1, atom) state as the size-1
+    # vacuum slot that replaced it
+    mode1 = coherent_state(-2.0j, 36)
+    atom = (0.6, 0.8j)
+    slot = product_state(mode1, basis_state(0, 1), atom, "quasi")
+    for dim2 in (2, 9, 32):
+        spectator = coherent_state(1.5 * np.exp(0.4j), dim2, leak_tol=1.0)
+        wide = product_state(mode1, spectator, atom, "quasi")
+        for t, g, delta in ((4.4, math.sqrt(2.0), 0.0), (2.9, 1.1, 0.4)):
+            keep = ("mode1", "atom")
+            reference = partial_trace(evolve_exact_jc(wide, t, g, delta), keep)
+            reduced = partial_trace(evolve_exact_jc(slot, t, g, delta), keep)
+            assert trace_distance(reference, reduced) < 1e-12
+
 
 def test_exact_jc_requires_quasi_basis():
     st = product_state(basis_state(0, 4), basis_state(0, 2), (1.0, 0.0), "physical")

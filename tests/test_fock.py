@@ -18,6 +18,7 @@ from quasicat import (
     squeezed_vacuum,
     suggested_dim,
 )
+from quasicat.fock import NBAR_MAX, coherent_nbar
 
 
 def test_vacuum_is_basis_zero():
@@ -56,6 +57,18 @@ def test_coherent_norm_and_tail():
 def test_coherent_dim_too_small():
     with pytest.raises(DimTooSmall):
         coherent_state(3.0, 6)
+
+
+def test_coherent_refuses_amplitude_past_vacuum_underflow():
+    # exp(-|alpha|^2 / 2) underflows past NBAR_MAX ~ 1416.8; the refusal names
+    # alpha and comes before a dim of 2**62 levels is allocated
+    assert 1416.0 < NBAR_MAX < 1417.0
+    v = coherent_state(math.sqrt(1400.0), 2000)
+    assert v.mean_photon() == pytest.approx(1400.0, rel=1e-9)
+    for alpha in (math.sqrt(1500.0), 1e150j, 1e300, -1e300j):
+        with pytest.raises(ParameterOutOfRange, match="alpha"):
+            coherent_state(alpha, 2**62)
+    assert coherent_nbar(3.0 - 4.0j) == 25.0
 
 
 def test_coherent_rejects_nonfinite():

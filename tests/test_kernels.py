@@ -1,6 +1,7 @@
 import numpy as np
-import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasicat.analysis import _husimi_grid
 from quasicat.dynamics import _jc_propagate
@@ -21,22 +22,46 @@ def _jc_hamiltonian(dim, g, delta):
     return h
 
 
-@pytest.mark.parametrize("delta", [0.0, 0.7, 12.0])
-def test_jc_propagate_matches_expm(delta):
-    dim, g, t = 16, 1.3, 2.7
-    rng = np.random.default_rng(3)
-    psi = _random_state(rng, dim, 1)
+def _excitation_distribution(psi):
+    """Probability of each excitation number n + sigma_z/2 + 1/2 = k per batch
+    column: (k, lower) and (k - 1, upper) share k."""
+    pop = np.abs(psi) ** 2
+    dist = np.zeros((psi.shape[0] + 1, psi.shape[1]))
+    dist[:-1] += pop[:, :, 0]
+    dist[1:] += pop[:, :, 1]
+    return dist
+
+
+JC_CASES = {
+    "dim": st.integers(2, 20),
+    "g": st.floats(0.05, 2.0, exclude_min=True),
+    "delta": st.floats(-15.0, 15.0),
+    "t": st.floats(0.0, 10.0),
+    "batch": st.integers(1, 3),
+    "seed": st.integers(0, 2**32 - 1),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(**JC_CASES)
+def test_jc_propagate_matches_expm(dim, g, delta, t, batch, seed):
+    psi = _random_state(np.random.default_rng(seed), dim, batch)
     out = _jc_propagate(psi, g, delta, t)
     u = scipy.linalg.expm(-1j * t * _jc_hamiltonian(dim, g, delta))
-    expected = (u @ psi[:, 0, :].ravel()).reshape(dim, 1, 2)
-    assert np.abs(out - expected).max() < 1e-12
+    for j in range(batch):
+        expected = (u @ psi[:, j, :].ravel()).reshape(dim, 2)
+        assert np.abs(out[:, j, :] - expected).max() < 1e-12
 
 
-def test_jc_propagate_preserves_norm():
-    rng = np.random.default_rng(5)
-    psi = _random_state(rng, 24, 3)
-    out = _jc_propagate(psi, 0.9, 1.4, 5.0)
+@settings(max_examples=100, deadline=None)
+@given(**JC_CASES)
+def test_jc_propagate_preserves_norm(dim, g, delta, t, batch, seed):
+    psi = _random_state(np.random.default_rng(seed), dim, batch)
+    out = _jc_propagate(psi, g, delta, t)
     assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+    # the coupling only mixes (n, upper) with (n + 1, lower)
+    drift = _excitation_distribution(out) - _excitation_distribution(psi)
+    assert np.abs(drift).max() < 1e-12
 
 
 def test_jc_propagate_batch_axis_is_independent():

@@ -15,6 +15,7 @@ from quasicat import (
     BasisMismatch,
     BothCouplingsZero,
     DimTooSmall,
+    NonFiniteInput,
     NonUnitPhase,
     ZeroDetuning,
     coherent_state,
@@ -52,6 +53,12 @@ def test_rotation_params_pythagorean():
 def test_rotation_params_rejects_zero():
     with pytest.raises(BothCouplingsZero):
         rotation_params(0.0, 0.0)
+
+
+@pytest.mark.parametrize("g1, g2", [(1e300, 0.7), (1.0, -1e300), (1e200, 1e200)])
+def test_rotation_params_rejects_overflowing_coupling(g1, g2):
+    with pytest.raises(NonFiniteInput, match="g1\\^2 \\+ g2\\^2"):
+        rotation_params(g1, g2)
 
 
 def test_rotate_amplitudes_symmetric_concentrates():
