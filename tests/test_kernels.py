@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,15 +43,27 @@ JC_CASES = {
 }
 
 
-@settings(max_examples=100, deadline=None)
-@given(**JC_CASES)
-def test_jc_propagate_matches_expm(dim, g, delta, t, batch, seed):
+def _check_matches_expm(dim, g, delta, t, batch, seed):
     psi = _random_state(np.random.default_rng(seed), dim, batch)
     out = _jc_propagate(psi, g, delta, t)
     u = scipy.linalg.expm(-1j * t * _jc_hamiltonian(dim, g, delta))
     for j in range(batch):
         expected = (u @ psi[:, j, :].ravel()).reshape(dim, 2)
         assert np.abs(out[:, j, :] - expected).max() < 1e-12
+
+
+# resonant, moderate and dispersive detunings, pinned so each is always drawn
+@pytest.mark.parametrize("delta", [0.0, 0.7, 12.0])
+@settings(max_examples=50, deadline=None)
+@given(**{k: v for k, v in JC_CASES.items() if k != "delta"})
+def test_jc_propagate_matches_expm(delta, dim, g, t, batch, seed):
+    _check_matches_expm(dim, g, delta, t, batch, seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(**JC_CASES)
+def test_jc_propagate_matches_expm_any_detuning(dim, g, delta, t, batch, seed):
+    _check_matches_expm(dim, g, delta, t, batch, seed)
 
 
 @settings(max_examples=100, deadline=None)
