@@ -35,13 +35,14 @@ from .dynamics import (
     evolve_effective,
     evolve_exact_jc,
     excitation_diagonal,
+    excitation_sectors,
     half_revival_time,
     measure_atom,
     product_state,
     protocol_time,
 )
-from .errors import ConfigInvalid, NormViolation, QuasicatError
-from .fock import basis_state, coherent_nbar, coherent_state, suggested_dim
+from .errors import ConfigInvalid, NonFiniteInput, NormViolation, QuasicatError
+from .fock import basis_state, coherent_dim, coherent_nbar, coherent_state
 from .modes import (
     AmplitudePair,
     decouple_params,
@@ -320,33 +321,53 @@ def run_validate(cfg: ScenarioConfig) -> RunReport:
     checks["rotation_operator_vs_amplitudes"] = worst_fid
 
     # the rotated coupling concentrates on quasi mode I; the rotation is only
-    # exact on complete total-photon shells, so compare on trusted columns
+    # exact on complete total-photon shells, so compare on trusted columns.
+    # Both Hamiltonians and the rotation keep each excitation sector, so the
+    # conjugation and the oracle act per sector, and a 2-norm over sectors is
+    # the largest sector norm; excitation_commutator shows nothing is dropped
     ham_int = build_hamiltonian(
         HamiltonianSpec.interaction(cfg["g1"], cfg["g2"], cfg["delta"]), dim, dim
     )
     ham_quasi = build_hamiltonian(
         HamiltonianSpec.quasi_jc(rot.g, cfg["delta"]), dim, dim
     )
-    rotation_full = np.kron(rotation, np.eye(2))
     shell = total_photon_shell_indices(dim, dim, dim - 2)
-    cols = np.concatenate([2 * shell, 2 * shell + 1])
-    conjugated = rotation_full @ ham_int @ rotation_full.conj().T
-    scale = np.linalg.norm(ham_quasi[:, cols], 2)
-    checks["quasi_jc_rotation"] = float(
-        np.linalg.norm(conjugated[:, cols] - ham_quasi[:, cols], 2) / scale
-    )
+    trusted = np.zeros(ham_int.shape[0], dtype=bool)
+    trusted[np.concatenate([2 * shell, 2 * shell + 1])] = True
+    worst_diff = scale = 0.0
+    propagators = []
+    for idx in excitation_sectors(dim, dim):
+        block = np.ix_(idx, idx)
+        # the sector block of kron(rotation, I_2): the two atom levels of a
+        # sector sit on neighbouring total-photon shells, which R never mixes
+        modes = idx // 2
+        rotation_block = rotation[np.ix_(modes, modes)]
+        conjugated = rotation_block @ ham_int[block] @ rotation_block.conj().T
+        keep = trusted[idx]
+        if keep.any():
+            quasi_cols = ham_quasi[block][:, keep]
+            diff = np.linalg.norm(conjugated[:, keep] - quasi_cols, 2)
+            worst_diff = max(worst_diff, diff)
+            scale = max(scale, np.linalg.norm(quasi_cols, 2))
+        propagators.append((idx, HermitianPropagator(ham_int[block])))
+    checks["quasi_jc_rotation"] = float(worst_diff / scale)
 
-    # the excitation number is diagonal, so [H, N]_ij = H_ij (n_j - n_i)
+    # the excitation number is diagonal, so [H, N]_ij = H_ij (n_j - n_i); rows
+    # and columns that are all zero carry no singular value
     number = excitation_diagonal(dim, dim)
-    checks["excitation_commutator"] = float(
-        np.linalg.norm(ham_int * (number[None, :] - number[:, None]), 2)
+    commutator = ham_int * (number[None, :] - number[:, None])
+    live = commutator != 0
+    rows = np.flatnonzero(live.any(axis=1))
+    cols = np.flatnonzero(live.any(axis=0))
+    checks["excitation_commutator"] = (
+        float(np.linalg.norm(commutator[np.ix_(rows, cols)], 2)) if rows.size else 0.0
     )
 
-    # random-state basis equivalence: oracle in the physical basis versus
-    # rotate, analytic blocks, rotate back
+    # random-state basis equivalence: oracle in the physical basis, one
+    # eigendecomposition per excitation sector, versus rotate, analytic
+    # blocks, rotate back
     cap = dim - 2
     worst_equiv = 0.0
-    propagator = HermitianPropagator(ham_int)
     for _ in range(cfg["trials"]):
         tensor = rng.normal(size=(dim, dim, 2)) + 1j * rng.normal(size=(dim, dim, 2))
         n1 = np.arange(dim)[:, None, None]
@@ -354,7 +375,11 @@ def run_validate(cfg: ScenarioConfig) -> RunReport:
         tensor[(n1 + n2 > cap).repeat(2, axis=2)] = 0.0
         tensor /= np.linalg.norm(tensor)
         state = SystemState(tensor, "physical")
-        direct = propagator.evolve(state, cfg["t"])
+        flat = state.flat()
+        direct_flat = np.empty_like(flat)
+        for idx, propagator in propagators:
+            direct_flat[idx] = propagator.evolve_flat(flat[idx], cfg["t"])
+        direct = SystemState(direct_flat.reshape(state.dims), "physical")
         quasi_flat = rotation @ state.tensor.reshape(dim * dim, 2)
         quasi_state = SystemState(quasi_flat.reshape(dim, dim, 2), "quasi")
         evolved = evolve_exact_jc(quasi_state, cfg["t"], rot.g, cfg["delta"])
@@ -421,7 +446,8 @@ def run_validate(cfg: ScenarioConfig) -> RunReport:
 
 def run_zero_detuning(cfg: ScenarioConfig) -> RunReport:
     rot = rotation_params(cfg["g1"], cfg["g2"])
-    if cfg["alpha_re"] is not None or cfg["alpha_im"] is not None:
+    amplitude_keys = ("alpha_re", "alpha_im", "beta_re", "beta_im")
+    if any(cfg[key] is not None for key in amplitude_keys):
         alpha = complex(cfg["alpha_re"] or 0.0, cfg["alpha_im"] or 0.0)
         beta = complex(cfg["beta_re"] or 0.0, cfg["beta_im"] or 0.0)
         quasi_pair = rotate_amplitudes(rot, AmplitudePair(alpha, beta), "forward")
@@ -439,7 +465,7 @@ def run_zero_detuning(cfg: ScenarioConfig) -> RunReport:
         raise ConfigInvalid("need a positive mean photon number")
 
     atom = _atom_amps(cfg)
-    dim1 = cfg["dim"] or suggested_dim(mu) + 12
+    dim1 = cfg["dim"] or coherent_dim(mu, cfg["leak_tol"])
     # quasi mode II never couples: |nu> stays analytic, in a size-1 slot
     state = product_state(
         coherent_state(mu, dim1, cfg["leak_tol"]), basis_state(0, 1), atom, "quasi"
@@ -514,12 +540,21 @@ def run_zero_detuning(cfg: ScenarioConfig) -> RunReport:
 
 def run_large_detuning(cfg: ScenarioConfig) -> RunReport:
     g = cfg["g"]
+    g_sq = g * g
+    if not math.isfinite(g_sq) or g_sq == 0.0:
+        raise NonFiniteInput(
+            f"coupling g^2 = {g_sq:g} is not a finite positive number for g = {g}"
+        )
     delta = cfg["ratio"] * g
+    t_prime = math.pi * delta / (2.0 * g_sq)
+    if not math.isfinite(delta * t_prime):
+        raise NonFiniteInput(
+            f"phase argument delta*t' is not finite for ratio = {cfg['ratio']}"
+        )
     nbar = cfg["nbar"]
     mu = math.sqrt(nbar)
     atom = _atom_amps(cfg)
-    dim1 = cfg["dim"] or suggested_dim(mu) + 12
-    t_prime = math.pi * delta / (2.0 * g * g)
+    dim1 = cfg["dim"] or coherent_dim(mu, cfg["leak_tol"])
 
     init = product_state(
         coherent_state(mu, dim1, cfg["leak_tol"]), basis_state(0, 1), atom, "quasi"
@@ -688,7 +723,7 @@ def run_qfunc(cfg: ScenarioConfig) -> RunReport:
     else:
         nbar = cfg["nbar"]
         mu = math.sqrt(nbar)
-    dim = cfg["dim"] or suggested_dim(mu) + 12
+    dim = cfg["dim"] or coherent_dim(mu, cfg["leak_tol"])
     cat = cat_target(mu, nbar, cfg["convention"], dim, cfg["leak_tol"])
     rho = DensityMatrix(
         np.outer(cat.amps, np.conj(cat.amps)), (dim,), "mode1"

@@ -236,7 +236,10 @@ def build_hamiltonian(spec: HamiltonianSpec, dim1: int, dim2: int) -> ComplexMat
         return np.kron(np.kron(m1, m2), atom)
 
     sz = emb(id1, id2, SIGMA_Z)
-    up_proj = emb(id1, id2, SIGMA_PLUS @ SIGMA_MINUS)
+
+    def up_proj():
+        # only the dispersive variants carry the upper-level projector
+        return emb(id1, id2, SIGMA_PLUS @ SIGMA_MINUS)
 
     variant = spec.variant
     if variant == "lab":
@@ -262,7 +265,7 @@ def build_hamiltonian(spec: HamiltonianSpec, dim1: int, dim2: int) -> ComplexMat
     if variant == "effectiveEqualFreq":
         g, delta = _require(spec, "g", "delta")
         shift = g * g / delta
-        return 0.5 * delta * sz + shift * emb(num1, id2, SIGMA_Z) + shift * up_proj
+        return 0.5 * delta * sz + shift * emb(num1, id2, SIGMA_Z) + shift * up_proj()
     if variant in ("effectiveFalse", "effectiveCorrect"):
         g1, g2, delta1, delta2 = _require(spec, "g1", "g2", "delta1", "delta2")
         if g1 == 0.0 and g2 == 0.0:
@@ -277,7 +280,7 @@ def build_hamiltonian(spec: HamiltonianSpec, dim1: int, dim2: int) -> ComplexMat
             cross = 0.5 * g1 * g2 * (1.0 / delta1 + 1.0 / delta2)
             hop = emb(a.conj().T, b, id_atom)
             ham = ham + cross * ((hop + hop.conj().T) @ sz)
-            ham = ham + (g1 * g1 / delta1 + g2 * g2 / delta2) * up_proj
+            ham = ham + (g1 * g1 / delta1 + g2 * g2 / delta2) * up_proj()
         return ham
     if variant == "decoupled":
         g1, g2, delta1, delta2 = _require(spec, "g1", "g2", "delta1", "delta2")
@@ -289,7 +292,7 @@ def build_hamiltonian(spec: HamiltonianSpec, dim1: int, dim2: int) -> ComplexMat
             0.5 * delta_eff * sz
             + params.lambda_mode * emb(num1, id2, SIGMA_Z)
             + params.zeta_mode * emb(id1, num2, SIGMA_Z)
-            + (params.lambda_mode + params.zeta_mode) * up_proj
+            + (params.lambda_mode + params.zeta_mode) * up_proj()
         )
     raise InvalidVariantParams(f"unknown variant {variant!r}")
 
@@ -300,6 +303,19 @@ def excitation_diagonal(dim1: int, dim2: int) -> np.ndarray:
     n1 = np.arange(dim1, dtype=np.float64)[:, None, None]
     n2 = np.arange(dim2, dtype=np.float64)[None, :, None]
     return (n1 + n2 + 0.5 * SIGMA_Z.diagonal().real).ravel()
+
+
+def excitation_sectors(dim1: int, dim2: int) -> list:
+    """Flat indices of each excitation sector, in increasing excitation.
+
+    Every Hamiltonian variant and the mode rotation conserve the excitation
+    count, so they are block-diagonal on these index sets. Sector k + 1/2
+    holds (n1 + n2 = k, upper) and (n1 + n2 = k + 1, lower); with
+    dim1 = dim2 = d there are 2d sectors of at most 2d - 1 states.
+    """
+    number = excitation_diagonal(dim1, dim2)
+    order = np.argsort(number, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(number[order])) + 1)
 
 
 def excitation_number(dim1: int, dim2: int) -> ComplexMatrix:
@@ -353,7 +369,8 @@ def _jc_propagate(psi, g, delta, t):
 
     Column 0 is the lower atomic level, column 1 the upper. Pairs
     (n, upper) <-> (n+1, lower) mix inside 2x2 blocks with Rabi frequency
-    sqrt(delta^2 + 4 g^2 (n+1)); the lone (0, lower) level and the
+    sqrt(delta^2 + 4 g^2 (n+1)), taken as a hypot so that it stays finite
+    for every finite delta and g; the lone (0, lower) level and the
     truncation-edge (dim-1, upper) level only pick up bare detuning phases.
     """
     d = psi.shape[0]
@@ -363,7 +380,7 @@ def _jc_propagate(psi, g, delta, t):
     out[d - 1, :, 1] = psi[d - 1, :, 1] * np.conj(edge)
     if d > 1:
         n = np.arange(d - 1, dtype=np.float64)
-        omega = np.sqrt(delta * delta + 4.0 * g * g * (n + 1.0))
+        omega = np.hypot(delta, 2.0 * g * np.sqrt(n + 1.0))
         half = 0.5 * omega * t
         co = np.cos(half)
         si = np.sin(half)

@@ -107,6 +107,25 @@ def suggested_dim(alpha: complex) -> int:
     return int(math.ceil(r * r + 5.0 * r + 10.0))
 
 
+def coherent_dim(alpha: complex, leak_tol: float = LEAK_TOL) -> int:
+    """Automatic truncation for |alpha> whose tail mass stays below leak_tol.
+
+    suggested_dim(alpha) + 12 when its tail passes, which holds up to
+    |alpha|^2 of about 100 at the default leak_tol. Otherwise the smallest n
+    whose Chernoff bound on the Poisson tail, e^{-nbar} (e nbar / n)^n,
+    is at most leak_tol / 4.
+    """
+    dim = suggested_dim(alpha) + 12
+    if _coherent_amps(alpha, dim)[1] < leak_tol:
+        return dim
+    nbar = coherent_nbar(alpha)
+    target = math.log(0.25 * leak_tol)
+    n = math.floor(nbar) + 1
+    while n * (1.0 + math.log(nbar) - math.log(n)) - nbar > target:
+        n += 1
+    return n
+
+
 def basis_state(n: int, dim: int) -> FockVector:
     if dim < 1:
         raise DimTooSmall("dim must be >= 1")
@@ -123,25 +142,30 @@ def coherent_state(alpha: complex, dim: int, leak_tol: float = LEAK_TOL) -> Fock
     Amplitudes follow c_{n+1} = c_n * alpha / sqrt(n+1) with
     c_0 = exp(-|alpha|^2 / 2), i.e. the ratio law
     c_{n+1}/c_n = e^{-i phi} sqrt(nbar/(n+1)) for alpha = sqrt(nbar) e^{-i phi}.
-    Sizing heuristic: dim >= |alpha|^2 + 5|alpha| + 10 keeps the tail far
-    below default leak_tol; the binding check is the tail mass itself.
+    coherent_dim(alpha, leak_tol) gives a dim that passes; the binding
+    check is the tail mass itself.
     """
-    vacuum = math.exp(-0.5 * coherent_nbar(alpha))
-    alpha = complex(alpha)
     if dim < 1:
         raise DimTooSmall("dim must be >= 1")
+    amps, tail = _coherent_amps(alpha, dim)
+    if tail >= leak_tol:
+        raise DimTooSmall(
+            f"coherent tail mass {tail:.3e} >= leak_tol {leak_tol:.1e} at dim"
+            f" {dim}; try dim >= {coherent_dim(alpha, leak_tol)}"
+        )
+    amps /= np.linalg.norm(amps)
+    return FockVector(amps, dim, TruncationReport((complex(alpha),), dim, tail))
+
+
+def _coherent_amps(alpha: complex, dim: int):
+    """Unnormalized truncated amplitudes of |alpha> and the tail mass lost."""
+    vacuum = math.exp(-0.5 * coherent_nbar(alpha))
+    alpha = complex(alpha)
     amps = np.empty(dim, dtype=np.complex128)
     amps[0] = vacuum
     for n in range(1, dim):
         amps[n] = amps[n - 1] * alpha / math.sqrt(n)
-    tail = max(0.0, 1.0 - float(np.sum(np.abs(amps) ** 2)))
-    if tail >= leak_tol:
-        raise DimTooSmall(
-            f"coherent tail mass {tail:.3e} >= leak_tol {leak_tol:.1e} at dim"
-            f" {dim}; try dim >= {max(suggested_dim(alpha), dim + 8)}"
-        )
-    amps /= np.linalg.norm(amps)
-    return FockVector(amps, dim, TruncationReport((alpha,), dim, tail))
+    return amps, max(0.0, 1.0 - float(np.sum(np.abs(amps) ** 2)))
 
 
 def squeezed_vacuum(z: complex, dim: int, leak_tol: float = LEAK_TOL) -> FockVector:

@@ -8,7 +8,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasicat.cli import COMMON_DEFAULTS, SCENARIO_DEFAULTS, build_parser, main
+import quasicat.cli as cli
+from quasicat import (
+    HamiltonianSpec,
+    build_hamiltonian,
+    coherent_dim,
+    coherent_state,
+    ladder_matrix,
+    mode_rotation_unitary,
+    rotate_amplitudes,
+    rotation_params,
+)
+from quasicat.cli import (
+    COMMON_DEFAULTS,
+    SCENARIO_DEFAULTS,
+    VALIDATE_TOL,
+    build_parser,
+    main,
+    resolve_config,
+    run_validate,
+)
+from quasicat.dynamics import excitation_diagonal
+from quasicat.modes import AmplitudePair, total_photon_shell_indices
 
 
 def _read_summary(out_dir):
@@ -60,6 +81,70 @@ def test_failed_validate_exits_3_after_summary(tmp_path, monkeypatch, capsys):
     assert summary["all_passed"] is False
     assert summary["checks"]["squeeze_operator_identity"] == 1.0
     assert "squeeze_operator_identity" in capsys.readouterr().err
+
+
+def _validate_report(monkeypatch, dim, *flags):
+    # below dim 12 the coherent probes of rotation_operator_vs_amplitudes can
+    # exceed the default leak_tol; they play no part in the Hamiltonian checks
+    monkeypatch.setattr(
+        cli, "coherent_state", lambda alpha, dim: coherent_state(alpha, dim, 1e-2)
+    )
+    argv = ["validate", "--dim", str(dim), "--trials", "1", *flags]
+    return run_validate(resolve_config("validate", build_parser().parse_args(argv)))
+
+
+def _dense_hamiltonian_checks(ham_int, g1, g2, delta, dim):
+    """quasi_jc_rotation and excitation_commutator on the full (2 dim^2)^2
+    matrices: dense conjugation and SVD 2-norms."""
+    rot = rotation_params(g1, g2)
+    ham_quasi = build_hamiltonian(HamiltonianSpec.quasi_jc(rot.g, delta), dim, dim)
+    rotation_full = np.kron(mode_rotation_unitary(rot, dim, dim), np.eye(2))
+    shell = total_photon_shell_indices(dim, dim, dim - 2)
+    cols = np.concatenate([2 * shell, 2 * shell + 1])
+    conjugated = rotation_full @ ham_int @ rotation_full.conj().T
+    rotation_residual = np.linalg.norm(
+        conjugated[:, cols] - ham_quasi[:, cols], 2
+    ) / np.linalg.norm(ham_quasi[:, cols], 2)
+    number = excitation_diagonal(dim, dim)
+    commutator = np.linalg.norm(ham_int * (number[None, :] - number[:, None]), 2)
+    return rotation_residual, commutator
+
+
+@pytest.mark.parametrize("dim", [8, 9, 10, 11, 12])
+@pytest.mark.parametrize(
+    "g1, g2, delta", [(1.0, 0.7, 0.5), (0.3, 1.9, -2.5), (1.2, 0.0, 3.0)]
+)
+def test_validate_sector_checks_match_dense_reference(monkeypatch, dim, g1, g2, delta):
+    flags = ["--g1", repr(g1), "--g2", repr(g2), f"--delta={delta!r}"]
+    checks = _validate_report(monkeypatch, dim, *flags).summary["checks"]
+    ham_int = build_hamiltonian(HamiltonianSpec.interaction(g1, g2, delta), dim, dim)
+    rotation_residual, commutator = _dense_hamiltonian_checks(
+        ham_int, g1, g2, delta, dim
+    )
+    assert abs(checks["quasi_jc_rotation"] - rotation_residual) <= 1e-13
+    assert abs(checks["excitation_commutator"] - commutator) <= 1e-13
+    assert checks["basis_equivalence_evolution"] < VALIDATE_TOL
+
+
+def test_validate_commutator_catches_broken_conservation(monkeypatch):
+    # a mode-1 drive a + a+ changes the excitation number, so the sector
+    # slicing would drop it; excitation_commutator must see it in full
+    dim, g1, g2, delta = 10, 1.0, 0.7, 0.5
+    a = ladder_matrix(dim)
+    drive = 1e-3 * np.kron(np.kron(a + a.conj().T, np.eye(dim)), np.eye(2))
+
+    def broken(spec, dim1, dim2):
+        ham = build_hamiltonian(spec, dim1, dim2)
+        return ham + drive if spec.variant == "interaction" else ham
+
+    monkeypatch.setattr(cli, "build_hamiltonian", broken)
+    report = _validate_report(monkeypatch, dim)
+    checks = report.summary["checks"]
+    ham_int = broken(HamiltonianSpec.interaction(g1, g2, delta), dim, dim)
+    _, commutator = _dense_hamiltonian_checks(ham_int, g1, g2, delta, dim)
+    assert commutator > VALIDATE_TOL
+    assert abs(checks["excitation_commutator"] - commutator) <= 1e-13
+    assert report.summary["all_passed"] is False
 
 
 def test_zero_detuning_outputs(tmp_path):
@@ -424,3 +509,54 @@ def test_huge_finite_value_is_numeric_error_naming_it(
     err = capsys.readouterr().err
     assert err.startswith("run error (")
     assert named in err
+
+
+def test_beta_alone_takes_the_off_axis_path(tmp_path):
+    out = str(tmp_path / "z")
+    argv = ["zero-detuning", "--out", out, "--t-steps", "4", "--g1", "1", "--g2", "0.5"]
+    assert main(argv + ["--beta-re", "1.5", "--beta-im", "-0.5"]) == 0
+    summary = _read_summary(out)["summary"]
+    assert summary["alpha"] == [0.0, 0.0]
+    assert summary["beta"] == [1.5, -0.5]
+    mu, nu = (complex(*summary[key]) for key in ("mu", "nu"))
+    assert abs(nu) > 0.1
+    assert summary["nbar"] == pytest.approx(abs(mu) ** 2, rel=1e-12)
+    back = rotate_amplitudes(
+        rotation_params(1.0, 0.5), AmplitudePair(mu, nu, "quasi"), "inverse"
+    )
+    assert abs(back.first) <= 1e-12
+    assert abs(back.second - (1.5 - 0.5j)) <= 1e-12
+
+
+# overflowing detunings or couplings; (argv, text the message must hold)
+OVERFLOW_CASES = [
+    (["validate", "--trials", "1", "--delta", "1e300"], "basis_equivalence_evolution"),
+    (["large-detuning", "--nbar", "1", "--ratio", "1e300"], "ratio = 1e+300"),
+    (["large-detuning", "--nbar", "1", "--g", "1e300"], "g = 1e+300"),
+    (["large-detuning", "--nbar", "1", "--g", "1e-200"], "g = 1e-200"),
+]
+
+
+@pytest.mark.parametrize("argv, named", OVERFLOW_CASES)
+def test_overflowing_detuning_or_coupling_names_its_cause(tmp_path, capsys, argv, named):
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert named in err
+    assert "non-finite amplitude" not in err
+
+
+@pytest.mark.parametrize("nbar, dim", [(200, 307), (1000, 1229), (1400, 1670)])
+@pytest.mark.parametrize("scenario", ["zero-detuning", "large-detuning"])
+def test_large_nbar_runs_with_automatic_dim(tmp_path, scenario, nbar, dim):
+    out = str(tmp_path / "o")
+    assert main([scenario, "--out", out, "--nbar", str(nbar), "--t-steps", "8"]) == 0
+    summary = _read_summary(out)["summary"]
+    assert summary["dim1"] == dim == coherent_dim(math.sqrt(nbar))
+
+
+def test_qfunc_at_nbar_200_with_automatic_dim(tmp_path):
+    out = str(tmp_path / "q")
+    assert main(["qfunc", "--out", out, "--nbar", "200", "--grid-points", "21"]) == 0
+    summary = _read_summary(out)["summary"]
+    assert summary["dim"] == 307
+    assert summary["q_max"] <= 1.0 / math.pi + 1e-12

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies
 
 from quasicat import (
     AmplitudePair,
@@ -47,7 +49,12 @@ from quasicat import (
     trace_distance,
     two_mode_cat_target,
 )
-from quasicat.dynamics import SIGMA_PLUS, SIGMA_Z
+from quasicat.dynamics import (
+    SIGMA_PLUS,
+    SIGMA_Z,
+    excitation_diagonal,
+    excitation_sectors,
+)
 from quasicat.modes import total_photon_shell_indices
 
 
@@ -230,6 +237,51 @@ def test_oracle_excitation_moments_conserved():
         before = np.vdot(st.flat(), op @ st.flat()).real
         after = np.vdot(out.flat(), op @ out.flat()).real
         assert abs(after - before) < 1e-9
+
+
+@pytest.mark.parametrize("dim1, dim2", [(2, 2), (5, 5), (14, 14), (3, 7), (6, 2)])
+def test_excitation_sectors_partition_the_space(dim1, dim2):
+    sectors = excitation_sectors(dim1, dim2)
+    flat = np.concatenate(sectors)
+    assert np.array_equal(np.sort(flat), np.arange(2 * dim1 * dim2))
+    number = excitation_diagonal(dim1, dim2)
+    levels = [np.unique(number[idx]) for idx in sectors]
+    assert all(level.size == 1 for level in levels)
+    assert np.all(np.diff(np.concatenate(levels)) > 0)
+    assert len(sectors) == dim1 + dim2
+    if dim1 == dim2:
+        assert max(idx.size for idx in sectors) == 2 * dim1 - 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    dim=strategies.integers(3, 9),
+    g1=strategies.floats(0.05, 2.0, exclude_min=True),
+    g2=strategies.floats(0.0, 2.0),
+    delta=strategies.floats(-5.0, 5.0),
+    t=strategies.floats(0.0, 10.0),
+    seed=strategies.integers(0, 2**32 - 1),
+)
+def test_sector_oracle_matches_dense_oracle(dim, g1, g2, delta, t, seed):
+    ham = build_hamiltonian(HamiltonianSpec.interaction(g1, g2, delta), dim, dim)
+    ham_quasi = build_hamiltonian(
+        HamiltonianSpec.quasi_jc(math.hypot(g1, g2), delta), dim, dim
+    )
+    sectors = excitation_sectors(dim, dim)
+    inside = np.zeros(ham.shape, dtype=bool)
+    for idx in sectors:
+        inside[np.ix_(idx, idx)] = True
+    assert not np.any(ham[~inside])
+    assert not np.any(ham_quasi[~inside])
+    rng = np.random.default_rng(seed)
+    vec = rng.normal(size=ham.shape[0]) + 1j * rng.normal(size=ham.shape[0])
+    vec /= np.linalg.norm(vec)
+    by_sector = np.empty_like(vec)
+    for idx in sectors:
+        block = HermitianPropagator(ham[np.ix_(idx, idx)])
+        by_sector[idx] = block.evolve_flat(vec[idx], t)
+    dense = HermitianPropagator(ham).evolve_flat(vec, t)
+    assert np.abs(by_sector - dense).max() <= 1e-12
 
 
 def test_propagator_rejects_nonhermitian():

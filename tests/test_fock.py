@@ -9,6 +9,7 @@ from quasicat import (
     NonFiniteInput,
     ParameterOutOfRange,
     basis_state,
+    coherent_dim,
     coherent_overlap,
     coherent_state,
     displacement_matrix,
@@ -57,6 +58,28 @@ def test_coherent_norm_and_tail():
 def test_coherent_dim_too_small():
     with pytest.raises(DimTooSmall):
         coherent_state(3.0, 6)
+
+
+def test_coherent_dim_unchanged_up_to_nbar_100():
+    # the automatic truncation keeps suggested_dim + 12 wherever that passed
+    rng = np.random.default_rng(3)
+    for nbar in np.linspace(0.0, 100.0, 401):
+        alpha = math.sqrt(nbar) * np.exp(2j * np.pi * rng.uniform())
+        assert coherent_dim(alpha) == suggested_dim(alpha) + 12
+
+
+@pytest.mark.parametrize(
+    "nbar, dim", [(200.0, 307), (400.0, None), (1000.0, 1229), (1400.0, 1670)]
+)
+def test_coherent_dim_holds_the_tail_past_nbar_100(nbar, dim):
+    alpha = -1j * math.sqrt(nbar)
+    size = coherent_dim(alpha)
+    assert size > suggested_dim(alpha) + 12
+    assert dim is None or size == dim
+    assert coherent_state(alpha, size).report.tail_mass < 1e-10
+    # the old size leaks, and its refusal suggests the new one
+    with pytest.raises(DimTooSmall, match=f"try dim >= {size}$"):
+        coherent_state(alpha, suggested_dim(alpha) + 12)
 
 
 def test_coherent_refuses_amplitude_past_vacuum_underflow():
