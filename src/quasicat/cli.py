@@ -30,6 +30,7 @@ from .dynamics import (
     build_hamiltonian,
     cat_target,
     adiabatic_residual,
+    coupling_square,
     dispersive_hamiltonian,
     elimination_operator_residuals,
     evolve_effective,
@@ -540,11 +541,7 @@ def run_zero_detuning(cfg: ScenarioConfig) -> RunReport:
 
 def run_large_detuning(cfg: ScenarioConfig) -> RunReport:
     g = cfg["g"]
-    g_sq = g * g
-    if not math.isfinite(g_sq) or g_sq == 0.0:
-        raise NonFiniteInput(
-            f"coupling g^2 = {g_sq:g} is not a finite positive number for g = {g}"
-        )
+    g_sq = coupling_square(g)
     delta = cfg["ratio"] * g
     t_prime = math.pi * delta / (2.0 * g_sq)
     if not math.isfinite(delta * t_prime):

@@ -14,6 +14,7 @@ Layout conventions used throughout:
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -198,6 +199,17 @@ def _check_dispersive(g_total: float, deltas, ratio_min: float = RATIO_MIN):
                 DetuningRatioWarning,
                 stacklevel=3,
             )
+
+
+def coupling_square(g: float) -> float:
+    """g^2, refused when it overflows or, for a nonzero g, underflows below
+    the smallest normal float, where the dispersive shift g^2/delta is lost."""
+    g_sq = g * g
+    if not math.isfinite(g_sq) or (g != 0.0 and g_sq < sys.float_info.min):
+        raise NonFiniteInput(
+            f"coupling g^2 = {g_sq:g} over- or underflows for g = {g}"
+        )
+    return g_sq
 
 
 def _require(spec: HamiltonianSpec, *names):
@@ -617,8 +629,7 @@ def _single_mode_atom_ops(dim: int):
 def _elimination_pieces(g: float, delta: float, dim: int, n_max: int):
     if n_max + 8 > dim:
         raise DimTooSmall("need dim >= n_max + 8 so the projector stays interior")
-    if not math.isfinite(g * g):
-        raise NonFiniteInput(f"coupling g^2 is not finite for g = {g}")
+    coupling_square(g)
     _check_dispersive(abs(g), (delta,))
     a, sz, sp, sm = _single_mode_atom_ops(dim)
     lam = g / delta

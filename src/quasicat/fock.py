@@ -112,8 +112,8 @@ def coherent_dim(alpha: complex, leak_tol: float = LEAK_TOL) -> int:
 
     suggested_dim(alpha) + 12 when its tail passes, which holds up to
     |alpha|^2 of about 100 at the default leak_tol. Otherwise the smallest n
-    whose Chernoff bound on the Poisson tail, e^{-nbar} (e nbar / n)^n,
-    is at most leak_tol / 4.
+    above that size whose Chernoff bound on the Poisson tail,
+    e^{-nbar} (e nbar / n)^n, is at most leak_tol / 4.
     """
     dim = suggested_dim(alpha) + 12
     if _coherent_amps(alpha, dim)[1] < leak_tol:
@@ -123,7 +123,7 @@ def coherent_dim(alpha: complex, leak_tol: float = LEAK_TOL) -> int:
     n = math.floor(nbar) + 1
     while n * (1.0 + math.log(nbar) - math.log(n)) - nbar > target:
         n += 1
-    return n
+    return max(n, dim + 1)
 
 
 def basis_state(n: int, dim: int) -> FockVector:
@@ -142,16 +142,22 @@ def coherent_state(alpha: complex, dim: int, leak_tol: float = LEAK_TOL) -> Fock
     Amplitudes follow c_{n+1} = c_n * alpha / sqrt(n+1) with
     c_0 = exp(-|alpha|^2 / 2), i.e. the ratio law
     c_{n+1}/c_n = e^{-i phi} sqrt(nbar/(n+1)) for alpha = sqrt(nbar) e^{-i phi}.
-    coherent_dim(alpha, leak_tol) gives a dim that passes; the binding
-    check is the tail mass itself.
+    coherent_dim(alpha, leak_tol) gives a dim whose true tail passes; the
+    binding check is the computed tail mass, so a refusal at or above that
+    dim is rounding in 1 - sum |c_n|^2.
     """
     if dim < 1:
         raise DimTooSmall("dim must be >= 1")
     amps, tail = _coherent_amps(alpha, dim)
     if tail >= leak_tol:
+        need = coherent_dim(alpha, leak_tol)
+        hint = (
+            f"try dim >= {need}" if need > dim
+            else "leak_tol is below the rounding error of the tail sum"
+        )
         raise DimTooSmall(
             f"coherent tail mass {tail:.3e} >= leak_tol {leak_tol:.1e} at dim"
-            f" {dim}; try dim >= {coherent_dim(alpha, leak_tol)}"
+            f" {dim}; {hint}"
         )
     amps /= np.linalg.norm(amps)
     return FockVector(amps, dim, TruncationReport((complex(alpha),), dim, tail))

@@ -9,7 +9,6 @@ from quasicat import (
     NonFiniteInput,
     ParameterOutOfRange,
     basis_state,
-    coherent_dim,
     coherent_overlap,
     coherent_state,
     displacement_matrix,
@@ -19,7 +18,7 @@ from quasicat import (
     squeezed_vacuum,
     suggested_dim,
 )
-from quasicat.fock import NBAR_MAX, coherent_nbar
+from quasicat.fock import NBAR_MAX, coherent_dim, coherent_nbar
 
 
 def test_vacuum_is_basis_zero():
@@ -80,6 +79,36 @@ def test_coherent_dim_holds_the_tail_past_nbar_100(nbar, dim):
     # the old size leaks, and its refusal suggests the new one
     with pytest.raises(DimTooSmall, match=f"try dim >= {size}$"):
         coherent_state(alpha, suggested_dim(alpha) + 12)
+
+
+@pytest.mark.parametrize("nbar", [9.0, 50.0, 200.0])
+@pytest.mark.parametrize("leak_tol", [1e-15, 1e-16, 1e-17])
+def test_coherent_dim_at_roundoff_leak_tol_never_names_a_refused_dim(nbar, leak_tol):
+    # 1 - sum |c_n|^2 cannot resolve a tail this small, so the automatic dim
+    # may be refused; the refusal must then not point back at that dim
+    alpha = math.sqrt(nbar)
+    heuristic = suggested_dim(alpha) + 12
+    size = coherent_dim(alpha, leak_tol)
+    assert size >= heuristic
+    for dim in (heuristic, size):
+        try:
+            coherent_state(alpha, dim, leak_tol)
+        except DimTooSmall as exc:
+            hint = str(exc).split("; ")[-1]
+            if hint.startswith("try dim >= "):
+                assert int(hint.removeprefix("try dim >= ")) > dim
+            else:
+                assert hint == "leak_tol is below the rounding error of the tail sum"
+                assert dim >= size
+
+
+def test_coherent_refusal_at_roundoff_names_the_rounding():
+    # at nbar 50 the true tail at dim 121 is below 2.5e-16, but the sum
+    # leaves 4.1e-15
+    alpha = math.sqrt(50.0)
+    assert coherent_dim(alpha, 1e-15) == 121
+    with pytest.raises(DimTooSmall, match="below the rounding error of the tail sum$"):
+        coherent_state(alpha, 121, 1e-15)
 
 
 def test_coherent_refuses_amplitude_past_vacuum_underflow():
