@@ -31,7 +31,7 @@ from .dynamics import (
     cat_target,
     adiabatic_residual,
     coupling_square,
-    dispersive_hamiltonian,
+    dispersive_norm,
     elimination_operator_residuals,
     evolve_effective,
     evolve_exact_jc,
@@ -43,7 +43,7 @@ from .dynamics import (
     protocol_time,
 )
 from .errors import ConfigInvalid, NonFiniteInput, NormViolation, QuasicatError
-from .fock import basis_state, coherent_dim, coherent_nbar, coherent_state
+from .fock import LEAK_TOL, basis_state, coherent_dim, coherent_nbar, coherent_state
 from .modes import (
     AmplitudePair,
     decouple_params,
@@ -66,7 +66,6 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 COMMON_DEFAULTS = {
     "out": "quasicat-out",
     "seed": 12345,
-    "leak_tol": 1e-10,
     "dim": None,
 }
 
@@ -78,6 +77,7 @@ SCENARIO_DEFAULTS = {
         "delta": 0.5,
         "t": 2.3,
         "dim": 12,
+        "leak_tol": LEAK_TOL,
     },
     "zero-detuning": {
         "nbar": 25.0,
@@ -94,6 +94,7 @@ SCENARIO_DEFAULTS = {
         "t_max": None,
         "t_steps": 240,
         "convention": 0,
+        "leak_tol": LEAK_TOL,
     },
     "large-detuning": {
         "nbar": 4.0,
@@ -105,6 +106,7 @@ SCENARIO_DEFAULTS = {
         "delta_amp_im": 0.0,
         "t_steps": 120,
         "basis": "plusminus",
+        "leak_tol": LEAK_TOL,
     },
     "adiabatic-sweep": {
         "g": 1.0,
@@ -118,6 +120,7 @@ SCENARIO_DEFAULTS = {
         "mu_im": None,
         "convention": 1,
         "grid_points": 101,
+        "leak_tol": LEAK_TOL,
     },
 }
 
@@ -200,7 +203,7 @@ def _check(scenario: str, values: dict):
             raise ConfigInvalid(f"{key} must be >= {_MINIMUMS[key]}, got {value}")
     if not values["out"]:
         raise ConfigInvalid("out must name a directory")
-    if not 0.0 < values["leak_tol"] < 1.0:
+    if "leak_tol" in values and not 0.0 < values["leak_tol"] < 1.0:
         raise ConfigInvalid(f"leak_tol must lie in (0, 1), got {values['leak_tol']}")
     for key in ("g", "nbar"):
         if key in values and values[key] <= 0:
@@ -312,11 +315,12 @@ def run_validate(cfg: ScenarioConfig) -> RunReport:
         beta = rng.uniform(0.2, 0.6) * np.exp(2j * np.pi * rng.uniform())
         quasi = rotate_amplitudes(rot, AmplitudePair(alpha, beta), "forward")
         prod = np.kron(
-            coherent_state(alpha, dim).amps, coherent_state(beta, dim).amps
+            coherent_state(alpha, dim, cfg["leak_tol"]).amps,
+            coherent_state(beta, dim, cfg["leak_tol"]).amps,
         )
         target = np.kron(
-            coherent_state(quasi.first, dim).amps,
-            coherent_state(quasi.second, dim).amps,
+            coherent_state(quasi.first, dim, cfg["leak_tol"]).amps,
+            coherent_state(quasi.second, dim, cfg["leak_tol"]).amps,
         )
         worst_fid = max(worst_fid, 1.0 - abs(np.vdot(target, rotation @ prod)) ** 2)
     checks["rotation_operator_vs_amplitudes"] = worst_fid
@@ -413,7 +417,7 @@ def run_validate(cfg: ScenarioConfig) -> RunReport:
     # decoupling eigenvalues against the quadratic-form matrix
     d1, d2 = cfg["delta"], 1.6 * cfg["delta"]
     params = decouple_params(cfg["g1"], cfg["g2"], d1, d2)
-    cross = cfg["g1"] * cfg["g2"] * (d1 + d2) / (2.0 * d1 * d2)
+    cross = 0.5 * cfg["g1"] * cfg["g2"] * (1.0 / d1 + 1.0 / d2)
     form = np.array(
         [
             [cfg["g1"] ** 2 / d1, cross],
@@ -539,6 +543,13 @@ def run_zero_detuning(cfg: ScenarioConfig) -> RunReport:
     )
 
 
+def _post_state_overlap(plus, minus) -> float:
+    """|<plus|minus>| of the two post-measurement fields; 0 if either is None."""
+    if plus.post_state is None or minus.post_state is None:
+        return 0.0
+    return float(abs(np.vdot(plus.post_state.tensor, minus.post_state.tensor)))
+
+
 def run_large_detuning(cfg: ScenarioConfig) -> RunReport:
     g = cfg["g"]
     g_sq = coupling_square(g)
@@ -557,7 +568,8 @@ def run_large_detuning(cfg: ScenarioConfig) -> RunReport:
         coherent_state(mu, dim1, cfg["leak_tol"]), basis_state(0, 1), atom, "quasi"
     )
 
-    # the oracle is the exact block solution of the quasiJC Hamiltonian
+    # the oracle is the exact block solution of the quasiJC Hamiltonian;
+    # linspace sets its endpoint exactly, so the loop ends on the states at t'
     times = np.linspace(0.0, t_prime, cfg["t_steps"])
     rows = []
     for t in times:
@@ -573,22 +585,8 @@ def run_large_detuning(cfg: ScenarioConfig) -> RunReport:
     # branch analysis on the dispersive prediction: the protocol's two
     # entangled-coherent outputs live there; the oracle enters through the
     # fidelity track and the diagnostic overlap below
-    final = evolve_exact_jc(init, t_prime, g, delta)
-    effective_final = evolve_effective(init, t_prime, g, delta)
-    plus, minus = measure_atom(effective_final, cfg["basis"])
-    if plus.post_state is not None and minus.post_state is not None:
-        post_overlap = abs(
-            np.vdot(plus.post_state.tensor, minus.post_state.tensor)
-        )
-    else:
-        post_overlap = 0.0
-    oracle_plus, oracle_minus = measure_atom(final, cfg["basis"])
-    if oracle_plus.post_state is not None and oracle_minus.post_state is not None:
-        oracle_overlap = abs(
-            np.vdot(oracle_plus.post_state.tensor, oracle_minus.post_state.tensor)
-        )
-    else:
-        oracle_overlap = 0.0
+    plus, minus = measure_atom(effective_state, cfg["basis"])
+    oracle_plus, oracle_minus = measure_atom(oracle_state, cfg["basis"])
     summary = {
         "ratio": cfg["ratio"],
         "delta": delta,
@@ -599,14 +597,12 @@ def run_large_detuning(cfg: ScenarioConfig) -> RunReport:
         "prob_plus": plus.probability,
         "prob_minus": minus.probability,
         "prob_sum": plus.probability + minus.probability,
-        "post_state_overlap": float(post_overlap),
-        "oracle_post_state_overlap": float(oracle_overlap),
+        "post_state_overlap": _post_state_overlap(plus, minus),
+        "oracle_post_state_overlap": _post_state_overlap(oracle_plus, oracle_minus),
         "oracle_prob_plus": oracle_plus.probability,
         "oracle_prob_minus": oracle_minus.probability,
         "branch_overlap": math.exp(-2.0 * nbar),
-        "effective_fidelity_at_t_prime": float(
-            abs(np.vdot(final.tensor, effective_final.tensor)) ** 2
-        ),
+        "effective_fidelity_at_t_prime": rows[-1][1],
         "measurement_basis": cfg["basis"],
     }
     return RunReport(
@@ -641,17 +637,13 @@ def run_adiabatic_sweep(cfg: ScenarioConfig) -> RunReport:
     for ratio in ratios:
         delta = ratio * g
         residual = adiabatic_residual(g, delta, dim, n_max)
-        keep = (np.arange(dim) <= n_max).astype(np.float64)
-        proj = np.kron(np.diag(keep), np.eye(2))
-        h_disp = dispersive_hamiltonian(g, delta, dim)
-        h_norm = float(np.linalg.norm(proj @ h_disp @ proj, 2))
         ops = elimination_operator_residuals(g, delta, dim, n_max)
         residuals.append(residual)
         rows.append(
             (
                 ratio,
                 residual,
-                residual / h_norm,
+                residual / dispersive_norm(g, delta, n_max),
                 ops["mode"],
                 ops["lowering"],
                 ops["inversion"],

@@ -275,10 +275,10 @@ def decouple_params(
     """Rotation that diagonalizes the dispersive two-oscillator coupling.
 
     The intensity-shift quadratic form has matrix
-    [[g1^2/d1, c], [c, g2^2/d2]] with c = g1 g2 (d1 + d2) / (2 d1 d2);
-    eta is chosen with a quadrant-aware arctangent so the degenerate case
-    g1^2 d2 = g2^2 d1 lands on eta = pi/4, and (lambda_mode, zeta_mode) are
-    the exact eigenvalues along the rotated modes.
+    [[g1^2/d1, c], [c, g2^2/d2]] with c = g1 g2 (1/d1 + 1/d2) / 2 (no d1 d2
+    product to underflow); eta is chosen with a quadrant-aware arctangent so
+    the degenerate case g1^2 d2 = g2^2 d1 lands on eta = pi/4, and
+    (lambda_mode, zeta_mode) are the exact eigenvalues along the rotated modes.
     """
     if delta1 == 0.0 or delta2 == 0.0:
         raise ZeroDetuning("decoupling divides by both detunings")
@@ -286,7 +286,7 @@ def decouple_params(
     g2 = float(g2)
     m11 = g1 * g1 / delta1
     m22 = g2 * g2 / delta2
-    cross = g1 * g2 * (delta1 + delta2) / (2.0 * delta1 * delta2)
+    cross = 0.5 * g1 * g2 * (1.0 / delta1 + 1.0 / delta2)
     eta = 0.5 * math.atan2(2.0 * cross, m11 - m22)
     co = math.cos(eta)
     si = math.sin(eta)

@@ -12,7 +12,6 @@ import quasicat.cli as cli
 from quasicat import (
     HamiltonianSpec,
     build_hamiltonian,
-    coherent_state,
     ladder_matrix,
     mode_rotation_unitary,
     rotate_amplitudes,
@@ -83,13 +82,11 @@ def test_failed_validate_exits_3_after_summary(tmp_path, monkeypatch, capsys):
     assert "squeeze_operator_identity" in capsys.readouterr().err
 
 
-def _validate_report(monkeypatch, dim, *flags):
+def _validate_report(dim, *flags):
     # below dim 12 the coherent probes of rotation_operator_vs_amplitudes can
     # exceed the default leak_tol; they play no part in the Hamiltonian checks
-    monkeypatch.setattr(
-        cli, "coherent_state", lambda alpha, dim: coherent_state(alpha, dim, 1e-2)
-    )
-    argv = ["validate", "--dim", str(dim), "--trials", "1", *flags]
+    argv = ["validate", "--dim", str(dim), "--trials", "1", "--leak-tol", "1e-2"]
+    argv += flags
     return run_validate(resolve_config("validate", build_parser().parse_args(argv)))
 
 
@@ -114,9 +111,9 @@ def _dense_hamiltonian_checks(ham_int, g1, g2, delta, dim):
 @pytest.mark.parametrize(
     "g1, g2, delta", [(1.0, 0.7, 0.5), (0.3, 1.9, -2.5), (1.2, 0.0, 3.0)]
 )
-def test_validate_sector_checks_match_dense_reference(monkeypatch, dim, g1, g2, delta):
+def test_validate_sector_checks_match_dense_reference(dim, g1, g2, delta):
     flags = ["--g1", repr(g1), "--g2", repr(g2), f"--delta={delta!r}"]
-    checks = _validate_report(monkeypatch, dim, *flags).summary["checks"]
+    checks = _validate_report(dim, *flags).summary["checks"]
     ham_int = build_hamiltonian(HamiltonianSpec.interaction(g1, g2, delta), dim, dim)
     rotation_residual, commutator = _dense_hamiltonian_checks(
         ham_int, g1, g2, delta, dim
@@ -138,7 +135,7 @@ def test_validate_commutator_catches_broken_conservation(monkeypatch):
         return ham + drive if spec.variant == "interaction" else ham
 
     monkeypatch.setattr(cli, "build_hamiltonian", broken)
-    report = _validate_report(monkeypatch, dim)
+    report = _validate_report(dim)
     checks = report.summary["checks"]
     ham_int = broken(HamiltonianSpec.interaction(g1, g2, delta), dim, dim)
     _, commutator = _dense_hamiltonian_checks(ham_int, g1, g2, delta, dim)
@@ -542,6 +539,35 @@ def test_overflowing_detuning_names_the_failed_check(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "basis_equivalence_evolution" in err
     assert "non-finite amplitude" not in err
+
+
+@pytest.mark.parametrize("delta", ["1e-300", "-1e-300"])
+def test_vanishing_detuning_names_the_failed_check(tmp_path, capsys, delta):
+    # 2 d1 d2 underflows here, so the decoupling cross term is formed from
+    # 1/d1 + 1/d2; the shifts g^2/delta near 1e300 leave the absolute
+    # decouple_eigenvalues residual far above VALIDATE_TOL
+    argv = ["validate", "--trials", "1", f"--delta={delta}"]
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 3
+    assert "decouple_eigenvalues" in capsys.readouterr().err
+
+
+def test_validate_reads_leak_tol(tmp_path, capsys):
+    # the coherent probes at dim 8 leave a tail near 1e-10
+    argv = ["validate", "--dim", "8", "--out", str(tmp_path / "o")]
+    assert main([*argv, "--leak-tol", "1e-6"]) == 0
+    assert main([*argv, "--leak-tol", "1e-12"]) == 3
+    assert "leak_tol 1.0e-12" in capsys.readouterr().err
+
+
+def test_adiabatic_sweep_has_no_leak_tol_key(tmp_path, capsys):
+    # the sweep builds no coherent state, so nothing reads a leak_tol
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("leak_tol = 0.5\n")
+    assert main(["adiabatic-sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "unknown config key 'leak_tol'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["adiabatic-sweep", "--leak-tol", "0.5", "--out", str(tmp_path)])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("nbar, dim", [(200, 307), (1000, 1229), (1400, 1670)])

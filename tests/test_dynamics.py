@@ -28,7 +28,6 @@ from quasicat import (
     coherent_overlap,
     coherent_state,
     decouple_params,
-    dispersive_hamiltonian,
     elimination_operator_residuals,
     evolve_effective,
     evolve_exact_jc,
@@ -52,10 +51,13 @@ from quasicat import (
 from quasicat.dynamics import (
     SIGMA_PLUS,
     SIGMA_Z,
+    dispersive_norm,
     excitation_diagonal,
     excitation_sectors,
 )
 from quasicat.modes import total_photon_shell_indices
+
+import oracles
 
 
 def _shell_capped_state(rng, dim1, dim2, basis):
@@ -629,7 +631,7 @@ def test_adiabatic_residual_regression_anchor():
     assert residual == pytest.approx(0.016857, abs=5e-5)
     keep = (np.arange(40) <= 10).astype(np.float64)
     proj = np.kron(np.diag(keep), np.eye(2))
-    scale = np.linalg.norm(dispersive_hamiltonian(1.0, 50.0, 40) @ proj, 2)
+    scale = np.linalg.norm(oracles.dispersive_hamiltonian(1.0, 50.0, 40) @ proj, 2)
     assert residual / scale < 1e-3
 
 
@@ -646,3 +648,31 @@ def test_elimination_operator_orders():
 def test_adiabatic_dim_guard():
     with pytest.raises(DimTooSmall):
         adiabatic_residual(1.0, 50.0, 15, 10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    g=strategies.floats(0.05, 2.0, exclude_min=True),
+    ratio=strategies.floats(10.0, 1000.0),
+    sign=strategies.sampled_from((1.0, -1.0)),
+    n_max=strategies.integers(0, 40),
+    extra=strategies.integers(8, 40),
+)
+def test_sector_elimination_residuals_match_dense_reference(
+    g, ratio, sign, n_max, extra
+):
+    delta = sign * ratio * g
+    dim = n_max + extra
+    keep = (np.arange(dim) <= n_max).astype(np.float64)
+    proj = np.kron(np.diag(keep), np.eye(2))
+    h_disp = oracles.dispersive_hamiltonian(g, delta, dim)
+    h_scale = np.linalg.norm(proj @ h_disp @ proj, 2)
+    assert dispersive_norm(g, delta, n_max) == pytest.approx(h_scale, rel=1e-13)
+    residual = adiabatic_residual(g, delta, dim, n_max)
+    dense_residual = oracles.adiabatic_residual(g, delta, dim, n_max)
+    assert abs(residual - dense_residual) <= 1e-13 * h_scale
+    ops = elimination_operator_residuals(g, delta, dim, n_max)
+    dense = oracles.elimination_operator_residuals(g, delta, dim, n_max)
+    scales = {"mode": math.sqrt(n_max + 1), "lowering": 1.0, "inversion": 1.0}
+    for name, scale in scales.items():
+        assert abs(ops[name] - dense[name]) <= 1e-13 * scale, name
