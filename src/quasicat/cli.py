@@ -24,7 +24,6 @@ import numpy as np
 from . import __version__
 from .analysis import DensityMatrix, PhaseSpaceGrid, husimi_q
 from .dynamics import (
-    HamiltonianSpec,
     HermitianPropagator,
     SystemState,
     build_hamiltonian,
@@ -257,8 +256,10 @@ def _atom_amps(cfg) -> np.ndarray:
         ],
         dtype=np.complex128,
     )
-    nrm = np.linalg.norm(atom)
-    if abs(nrm - 1.0) > 1e-8:
+    # hypot scales its arguments, so a huge amplitude fails the check below
+    # without an overflow warning or an OverflowError
+    keys = ("gamma_re", "gamma_im", "delta_amp_re", "delta_amp_im")
+    if abs(math.hypot(*(cfg[key] for key in keys)) - 1.0) > 1e-8:
         raise NormViolation("|gamma|^2 + |delta_amp|^2 must be 1")
     return atom
 
@@ -272,6 +273,27 @@ def _cat_fidelity(tensor, cat_amps) -> float:
     # <cat|rho_I|cat> without forming rho_I
     proj = np.einsum("i,ijs->js", np.conj(cat_amps), tensor)
     return float(np.sum(np.abs(proj) ** 2))
+
+
+def _sector_blocks(hamiltonian, sectors):
+    """Dense block of each excitation sector from (rows, cols, values)
+    triplets, duplicates summed, and the triplets whose ends lie in
+    different sectors."""
+    rows, cols, values = hamiltonian
+    sector = np.empty(sum(idx.size for idx in sectors), dtype=np.intp)
+    local = np.empty_like(sector)
+    for k, idx in enumerate(sectors):
+        sector[idx] = k
+        local[idx] = np.arange(idx.size)
+    row_sector = sector[rows]
+    inside = row_sector == sector[cols]
+    blocks = []
+    for k, idx in enumerate(sectors):
+        pick = inside & (row_sector == k)
+        block = np.zeros((idx.size, idx.size), dtype=np.complex128)
+        np.add.at(block, (local[rows[pick]], local[cols[pick]]), values[pick])
+        blocks.append(block)
+    return blocks, (rows[~inside], cols[~inside], values[~inside])
 
 
 def run_validate(cfg: ScenarioConfig) -> RunReport:
@@ -329,43 +351,47 @@ def run_validate(cfg: ScenarioConfig) -> RunReport:
     # exact on complete total-photon shells, so compare on trusted columns.
     # Both Hamiltonians and the rotation keep each excitation sector, so the
     # conjugation and the oracle act per sector, and a 2-norm over sectors is
-    # the largest sector norm; excitation_commutator shows nothing is dropped
-    ham_int = build_hamiltonian(
-        HamiltonianSpec.interaction(cfg["g1"], cfg["g2"], cfg["delta"]), dim, dim
+    # the largest sector norm; excitation_commutator shows nothing is dropped.
+    # The Hamiltonians come as coupling triplets, added straight into the
+    # sector blocks: no (2 dim^2)^2 matrix is formed
+    sectors = excitation_sectors(dim, dim)
+    int_blocks, crossing = _sector_blocks(
+        build_hamiltonian(cfg["g1"], cfg["g2"], cfg["delta"], dim), sectors
     )
-    ham_quasi = build_hamiltonian(
-        HamiltonianSpec.quasi_jc(rot.g, cfg["delta"]), dim, dim
+    quasi_blocks, _ = _sector_blocks(
+        build_hamiltonian(rot.g, 0.0, cfg["delta"], dim), sectors
     )
     shell = total_photon_shell_indices(dim, dim, dim - 2)
-    trusted = np.zeros(ham_int.shape[0], dtype=bool)
+    trusted = np.zeros(2 * dim * dim, dtype=bool)
     trusted[np.concatenate([2 * shell, 2 * shell + 1])] = True
     worst_diff = scale = 0.0
     propagators = []
-    for idx in excitation_sectors(dim, dim):
-        block = np.ix_(idx, idx)
+    for idx, block, quasi_block in zip(sectors, int_blocks, quasi_blocks):
         # the sector block of kron(rotation, I_2): the two atom levels of a
         # sector sit on neighbouring total-photon shells, which R never mixes
         modes = idx // 2
         rotation_block = rotation[np.ix_(modes, modes)]
-        conjugated = rotation_block @ ham_int[block] @ rotation_block.conj().T
+        conjugated = rotation_block @ block @ rotation_block.conj().T
         keep = trusted[idx]
         if keep.any():
-            quasi_cols = ham_quasi[block][:, keep]
+            quasi_cols = quasi_block[:, keep]
             diff = np.linalg.norm(conjugated[:, keep] - quasi_cols, 2)
             worst_diff = max(worst_diff, diff)
             scale = max(scale, np.linalg.norm(quasi_cols, 2))
-        propagators.append((idx, HermitianPropagator(ham_int[block])))
+        propagators.append((idx, HermitianPropagator(block)))
     checks["quasi_jc_rotation"] = float(worst_diff / scale)
 
-    # the excitation number is diagonal, so [H, N]_ij = H_ij (n_j - n_i); rows
-    # and columns that are all zero carry no singular value
+    # the excitation number is diagonal, so [H, N]_ij = H_ij (n_j - n_i), and
+    # only entries across sectors survive; it is taken on their rows and columns
     number = excitation_diagonal(dim, dim)
-    commutator = ham_int * (number[None, :] - number[:, None])
-    live = commutator != 0
-    rows = np.flatnonzero(live.any(axis=1))
-    cols = np.flatnonzero(live.any(axis=0))
+    rows, cols, values = crossing
+    live_rows, row_at = np.unique(rows, return_inverse=True)
+    live_cols, col_at = np.unique(cols, return_inverse=True)
+    commutator = np.zeros((live_rows.size, live_cols.size), dtype=np.complex128)
+    np.add.at(commutator, (row_at, col_at), values)
+    commutator *= number[live_cols][None, :] - number[live_rows][:, None]
     checks["excitation_commutator"] = (
-        float(np.linalg.norm(commutator[np.ix_(rows, cols)], 2)) if rows.size else 0.0
+        float(np.linalg.norm(commutator, 2)) if rows.size else 0.0
     )
 
     # random-state basis equivalence: oracle in the physical basis, one

@@ -24,13 +24,11 @@ import numpy as np
 from .errors import (
     BadSubsystem,
     BasisMismatch,
-    BothCouplingsZero,
     DegenerateCat,
     DetuningRatioWarning,
     DetuningTooSmall,
     DimensionMismatch,
     DimTooSmall,
-    InvalidVariantParams,
     NonFiniteInput,
     NonPositiveInput,
     NormViolation,
@@ -38,11 +36,9 @@ from .errors import (
 )
 from .fock import (
     LEAK_TOL,
-    ComplexMatrix,
     FockVector,
     coherent_state,
     expm_antihermitian,  # noqa: F401  perfbench/spans.py patches this name
-    ladder_matrix,
     suggested_dim,
 )
 from .modes import (
@@ -50,30 +46,17 @@ from .modes import (
     QUASI,
     AmplitudePair,
     ModeRotation,
-    decouple_params,
     quasi_phase_amplitudes,
     rotate_amplitudes,
 )
 
 # Atom basis order (lower, upper).
 SIGMA_Z = np.diag([-1.0 + 0j, 1.0 + 0j])
-SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=np.complex128)
-SIGMA_MINUS = SIGMA_PLUS.conj().T
 
 # Effective (dispersive) variants are trustworthy for |delta| >= RATIO_MIN * g;
 # between 5 and 10 they warn, below 5 they refuse.
 RATIO_MIN = 10.0
 RATIO_HARD_FLOOR = 5.0
-
-VARIANTS = (
-    "lab",
-    "interaction",
-    "quasiJC",
-    "effectiveEqualFreq",
-    "effectiveFalse",
-    "effectiveCorrect",
-    "decoupled",
-)
 
 
 @dataclass
@@ -128,60 +111,6 @@ def product_state(
     return SystemState(tensor, basis)
 
 
-@dataclass
-class HamiltonianSpec:
-    """Tagged model variant plus the parameters that variant actually uses."""
-
-    variant: str
-    g: Optional[float] = None
-    g1: Optional[float] = None
-    g2: Optional[float] = None
-    delta: Optional[float] = None
-    delta1: Optional[float] = None
-    delta2: Optional[float] = None
-    atom_freq: Optional[float] = None
-    omega1: Optional[float] = None
-    omega2: Optional[float] = None
-
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise InvalidVariantParams(f"unknown variant {self.variant!r}")
-
-    @classmethod
-    def lab(cls, g1, g2, atom_freq, omega1, omega2):
-        return cls(
-            "lab", g1=g1, g2=g2, atom_freq=atom_freq, omega1=omega1, omega2=omega2
-        )
-
-    @classmethod
-    def interaction(cls, g1, g2, delta):
-        return cls("interaction", g1=g1, g2=g2, delta=delta)
-
-    @classmethod
-    def quasi_jc(cls, g, delta):
-        return cls("quasiJC", g=g, delta=delta)
-
-    @classmethod
-    def effective_equal_freq(cls, g, delta):
-        _check_dispersive(abs(g), (delta,))
-        return cls("effectiveEqualFreq", g=g, delta=delta)
-
-    @classmethod
-    def effective_false(cls, g1, g2, delta1, delta2):
-        _check_dispersive(math.hypot(g1, g2), (delta1, delta2))
-        return cls("effectiveFalse", g1=g1, g2=g2, delta1=delta1, delta2=delta2)
-
-    @classmethod
-    def effective_correct(cls, g1, g2, delta1, delta2):
-        _check_dispersive(math.hypot(g1, g2), (delta1, delta2))
-        return cls("effectiveCorrect", g1=g1, g2=g2, delta1=delta1, delta2=delta2)
-
-    @classmethod
-    def decoupled(cls, g1, g2, delta1, delta2):
-        _check_dispersive(math.hypot(g1, g2), (delta1, delta2))
-        return cls("decoupled", g1=g1, g2=g2, delta1=delta1, delta2=delta2)
-
-
 def _check_dispersive(g_total: float, deltas, ratio_min: float = RATIO_MIN):
     if g_total == 0.0:
         return
@@ -212,101 +141,27 @@ def coupling_square(g: float) -> float:
     return g_sq
 
 
-def _require(spec: HamiltonianSpec, *names):
-    vals = []
-    for name in names:
-        v = getattr(spec, name)
-        if v is None:
-            raise InvalidVariantParams(f"variant {spec.variant!r} needs {name}")
-        vals.append(float(v))
-    return vals
-
-
-def _effective_detuning(g1, g2, delta1, delta2):
-    # free atomic term chosen so g2 = 0 reduces to the single-mode dispersive
-    # form with delta1, and equal couplings/detunings reduce to delta
-    shifts = g1 * g1 / delta1 + g2 * g2 / delta2
-    if shifts == 0.0:
-        raise InvalidVariantParams("intensity shifts cancel; detuning ill-defined")
-    return (g1 * g1 + g2 * g2) / shifts
-
-
-def build_hamiltonian(spec: HamiltonianSpec, dim1: int, dim2: int) -> ComplexMatrix:
-    """Dense Hermitian matrix for the requested variant on
-    (dim1 x dim2 x 2), flattened in C order."""
-    if dim1 < 2 or dim2 < 2:
-        raise DimTooSmall("build_hamiltonian needs dims >= 2")
-    a = ladder_matrix(dim1)
-    b = ladder_matrix(dim2)
-    id1 = np.eye(dim1, dtype=np.complex128)
-    id2 = np.eye(dim2, dtype=np.complex128)
-    id_atom = np.eye(2, dtype=np.complex128)
-    num1 = a.conj().T @ a
-    num2 = b.conj().T @ b
-
-    def emb(m1, m2, atom):
-        return np.kron(np.kron(m1, m2), atom)
-
-    sz = emb(id1, id2, SIGMA_Z)
-
-    def up_proj():
-        # only the dispersive variants carry the upper-level projector
-        return emb(id1, id2, SIGMA_PLUS @ SIGMA_MINUS)
-
-    variant = spec.variant
-    if variant == "lab":
-        g1, g2, atom_freq, omega1, omega2 = _require(
-            spec, "g1", "g2", "atom_freq", "omega1", "omega2"
-        )
-        raising = g1 * emb(a, id2, SIGMA_PLUS) + g2 * emb(id1, b, SIGMA_PLUS)
-        return (
-            0.5 * atom_freq * sz
-            + omega1 * emb(num1, id2, id_atom)
-            + omega2 * emb(id1, num2, id_atom)
-            + raising
-            + raising.conj().T
-        )
-    if variant == "interaction":
-        g1, g2, delta = _require(spec, "g1", "g2", "delta")
-        raising = g1 * emb(a, id2, SIGMA_PLUS) + g2 * emb(id1, b, SIGMA_PLUS)
-        return 0.5 * delta * sz + raising + raising.conj().T
-    if variant == "quasiJC":
-        g, delta = _require(spec, "g", "delta")
-        raising = g * emb(a, id2, SIGMA_PLUS)
-        return 0.5 * delta * sz + raising + raising.conj().T
-    if variant == "effectiveEqualFreq":
-        g, delta = _require(spec, "g", "delta")
-        shift = g * g / delta
-        return 0.5 * delta * sz + shift * emb(num1, id2, SIGMA_Z) + shift * up_proj()
-    if variant in ("effectiveFalse", "effectiveCorrect"):
-        g1, g2, delta1, delta2 = _require(spec, "g1", "g2", "delta1", "delta2")
-        if g1 == 0.0 and g2 == 0.0:
-            raise BothCouplingsZero("effective variants need a nonzero coupling")
-        delta_eff = _effective_detuning(g1, g2, delta1, delta2)
-        ham = (
-            0.5 * delta_eff * sz
-            + (g1 * g1 / delta1) * emb(num1, id2, SIGMA_Z)
-            + (g2 * g2 / delta2) * emb(id1, num2, SIGMA_Z)
-        )
-        if variant == "effectiveCorrect":
-            cross = 0.5 * g1 * g2 * (1.0 / delta1 + 1.0 / delta2)
-            hop = emb(a.conj().T, b, id_atom)
-            ham = ham + cross * ((hop + hop.conj().T) @ sz)
-            ham = ham + (g1 * g1 / delta1 + g2 * g2 / delta2) * up_proj()
-        return ham
-    if variant == "decoupled":
-        g1, g2, delta1, delta2 = _require(spec, "g1", "g2", "delta1", "delta2")
-        if g1 == 0.0 and g2 == 0.0:
-            raise BothCouplingsZero("decoupled variant needs a nonzero coupling")
-        params = decouple_params(g1, g2, delta1, delta2)
-        delta_eff = _effective_detuning(g1, g2, delta1, delta2)
-        return (
-            0.5 * delta_eff * sz
-            + params.lambda_mode * emb(num1, id2, SIGMA_Z)
-            + params.zeta_mode * emb(id1, num2, SIGMA_Z)
-            + (params.lambda_mode + params.zeta_mode) * up_proj()
-        )
-    raise InvalidVariantParams(f"unknown variant {variant!r}")
+def build_hamiltonian(g1: float, g2: float, delta: float, dim: int):
+    """Interaction Hamiltonian delta/2 sz + g1 (a s+ + a+ s-) + g2 (b s+ + b+ s-)
+    on (dim x dim x 2), flat-indexed like the joint tensor, as coupling
+    triplets (rows, cols, values): O(dim^2) entries, no position repeated.
+    g1 = g, g2 = 0 is the quasi-mode JC model."""
+    if dim < 2:
+        raise DimTooSmall("build_hamiltonian needs dim >= 2")
+    index = np.arange(2 * dim * dim).reshape(dim, dim, 2)
+    root = np.sqrt(np.arange(1, dim, dtype=np.float64))
+    # a s+ takes (n1, n2, lower) to (n1 - 1, n2, upper) with g1 sqrt(n1), b s+
+    # does the same on n2; each conjugate runs the other way
+    upper = (index[:-1, :, 1], index[:, :-1, 1])
+    lower = (index[1:, :, 0], index[:, 1:, 0])
+    coupling = (g1 * root[:, None], g2 * root[None, :])
+    terms = [(index, index, 0.5 * delta * SIGMA_Z.diagonal().real)]
+    for up, low, value in zip(upper, lower, coupling):
+        terms += [(up, low, value), (low, up, value)]
+    rows = np.concatenate([r.ravel() for r, _, _ in terms])
+    cols = np.concatenate([c.ravel() for _, c, _ in terms])
+    values = np.concatenate([np.broadcast_to(v, r.shape).ravel() for r, _, v in terms])
+    return rows, cols, values
 
 
 def excitation_diagonal(dim1: int, dim2: int) -> np.ndarray:
@@ -320,26 +175,22 @@ def excitation_diagonal(dim1: int, dim2: int) -> np.ndarray:
 def excitation_sectors(dim1: int, dim2: int) -> list:
     """Flat indices of each excitation sector, in increasing excitation.
 
-    Every Hamiltonian variant and the mode rotation conserve the excitation
-    count, so they are block-diagonal on these index sets. Sector k + 1/2
-    holds (n1 + n2 = k, upper) and (n1 + n2 = k + 1, lower); with
-    dim1 = dim2 = d there are 2d sectors of at most 2d - 1 states.
+    The interaction, the quasi-mode JC model and the mode rotation conserve
+    the excitation count, so they are block-diagonal on these index sets.
+    Sector k + 1/2 holds (n1 + n2 = k, upper) and (n1 + n2 = k + 1, lower);
+    with dim1 = dim2 = d there are 2d sectors of at most 2d - 1 states.
     """
     number = excitation_diagonal(dim1, dim2)
     order = np.argsort(number, kind="stable")
     return np.split(order, np.flatnonzero(np.diff(number[order])) + 1)
 
 
-def excitation_number(dim1: int, dim2: int) -> ComplexMatrix:
-    """Conserved excitation count: sigma_z/2 + n1 + n2 on the full space."""
-    return np.diag(excitation_diagonal(dim1, dim2)).astype(np.complex128)
-
-
 class HermitianPropagator:
     """Reusable exp(-iHt) from a single Hermitian eigendecomposition.
 
     Exactly unitary up to roundoff; the decomposition is shared across all
-    evolution times, which is what makes dense oracle time series cheap.
+    evolution times. validate runs one per excitation sector; the tests run
+    one on each dense reference matrix.
     """
 
     def __init__(self, ham: np.ndarray):
@@ -367,12 +218,6 @@ class HermitianPropagator:
     def evolve(self, state: SystemState, t: float) -> SystemState:
         out = self.evolve_flat(state.flat(), t)
         return SystemState(out.reshape(state.dims), state.basis)
-
-
-def evolve_oracle(ham: ComplexMatrix, state: SystemState, t: float) -> SystemState:
-    """Brute-force exp(-iHt) |state>. Builds a fresh eigendecomposition; use
-    HermitianPropagator directly for many times under one Hamiltonian."""
-    return HermitianPropagator(ham).evolve(state, t)
 
 
 def _jc_propagate(psi, g, delta, t):

@@ -1,21 +1,207 @@
 """Dense reference implementations that the runtime package no longer ships.
 
 The tests compare the per-sector runtime code against these. They build the
-full (2 dim)^2 single-mode-plus-atom matrices, so they are slow at large dim
-and serve only as an independent check.
+full (2 dim)^2 single-mode-plus-atom matrices and the (2 dim1 dim2)^2
+two-mode matrices of every Hamiltonian variant, so they are slow at large
+dim and serve only as an independent check.
 """
+
+import math
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from quasicat.dynamics import (
-    SIGMA_MINUS,
-    SIGMA_PLUS,
     SIGMA_Z,
     _check_dispersive,
     coupling_square,
+    excitation_diagonal,
 )
-from quasicat.errors import DimTooSmall
+from quasicat.errors import BothCouplingsZero, DimTooSmall, InvalidVariantParams
 from quasicat.fock import ComplexMatrix, expm_antihermitian, ladder_matrix
+from quasicat.modes import decouple_params
+
+# Atom basis order (lower, upper).
+SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=np.complex128)
+SIGMA_MINUS = SIGMA_PLUS.conj().T
+
+VARIANTS = (
+    "lab",
+    "interaction",
+    "quasiJC",
+    "effectiveEqualFreq",
+    "effectiveFalse",
+    "effectiveCorrect",
+    "decoupled",
+)
+
+
+@dataclass
+class HamiltonianSpec:
+    """Tagged model variant plus the parameters that variant actually uses."""
+
+    variant: str
+    g: Optional[float] = None
+    g1: Optional[float] = None
+    g2: Optional[float] = None
+    delta: Optional[float] = None
+    delta1: Optional[float] = None
+    delta2: Optional[float] = None
+    atom_freq: Optional[float] = None
+    omega1: Optional[float] = None
+    omega2: Optional[float] = None
+
+    def __post_init__(self):
+        if self.variant not in VARIANTS:
+            raise InvalidVariantParams(f"unknown variant {self.variant!r}")
+
+    @classmethod
+    def lab(cls, g1, g2, atom_freq, omega1, omega2):
+        return cls(
+            "lab", g1=g1, g2=g2, atom_freq=atom_freq, omega1=omega1, omega2=omega2
+        )
+
+    @classmethod
+    def interaction(cls, g1, g2, delta):
+        return cls("interaction", g1=g1, g2=g2, delta=delta)
+
+    @classmethod
+    def quasi_jc(cls, g, delta):
+        return cls("quasiJC", g=g, delta=delta)
+
+    @classmethod
+    def effective_equal_freq(cls, g, delta):
+        _check_dispersive(abs(g), (delta,))
+        return cls("effectiveEqualFreq", g=g, delta=delta)
+
+    @classmethod
+    def effective_false(cls, g1, g2, delta1, delta2):
+        _check_dispersive(math.hypot(g1, g2), (delta1, delta2))
+        return cls("effectiveFalse", g1=g1, g2=g2, delta1=delta1, delta2=delta2)
+
+    @classmethod
+    def effective_correct(cls, g1, g2, delta1, delta2):
+        _check_dispersive(math.hypot(g1, g2), (delta1, delta2))
+        return cls("effectiveCorrect", g1=g1, g2=g2, delta1=delta1, delta2=delta2)
+
+    @classmethod
+    def decoupled(cls, g1, g2, delta1, delta2):
+        _check_dispersive(math.hypot(g1, g2), (delta1, delta2))
+        return cls("decoupled", g1=g1, g2=g2, delta1=delta1, delta2=delta2)
+
+
+def _require(spec: HamiltonianSpec, *names):
+    vals = []
+    for name in names:
+        v = getattr(spec, name)
+        if v is None:
+            raise InvalidVariantParams(f"variant {spec.variant!r} needs {name}")
+        vals.append(float(v))
+    return vals
+
+
+def _effective_detuning(g1, g2, delta1, delta2):
+    # free atomic term chosen so g2 = 0 reduces to the single-mode dispersive
+    # form with delta1, and equal couplings/detunings reduce to delta
+    shifts = g1 * g1 / delta1 + g2 * g2 / delta2
+    if shifts == 0.0:
+        raise InvalidVariantParams("intensity shifts cancel; detuning ill-defined")
+    return (g1 * g1 + g2 * g2) / shifts
+
+
+def dense_hamiltonian(spec: HamiltonianSpec, dim1: int, dim2: int) -> ComplexMatrix:
+    """Dense Hermitian matrix for the requested variant on
+    (dim1 x dim2 x 2), flattened in C order."""
+    if dim1 < 2 or dim2 < 2:
+        raise DimTooSmall("dense_hamiltonian needs dims >= 2")
+    a = ladder_matrix(dim1)
+    b = ladder_matrix(dim2)
+    id1 = np.eye(dim1, dtype=np.complex128)
+    id2 = np.eye(dim2, dtype=np.complex128)
+    id_atom = np.eye(2, dtype=np.complex128)
+    num1 = a.conj().T @ a
+    num2 = b.conj().T @ b
+
+    def emb(m1, m2, atom):
+        return np.kron(np.kron(m1, m2), atom)
+
+    sz = emb(id1, id2, SIGMA_Z)
+
+    def up_proj():
+        # only the dispersive variants carry the upper-level projector
+        return emb(id1, id2, SIGMA_PLUS @ SIGMA_MINUS)
+
+    variant = spec.variant
+    if variant == "lab":
+        g1, g2, atom_freq, omega1, omega2 = _require(
+            spec, "g1", "g2", "atom_freq", "omega1", "omega2"
+        )
+        raising = g1 * emb(a, id2, SIGMA_PLUS) + g2 * emb(id1, b, SIGMA_PLUS)
+        return (
+            0.5 * atom_freq * sz
+            + omega1 * emb(num1, id2, id_atom)
+            + omega2 * emb(id1, num2, id_atom)
+            + raising
+            + raising.conj().T
+        )
+    if variant == "interaction":
+        g1, g2, delta = _require(spec, "g1", "g2", "delta")
+        raising = g1 * emb(a, id2, SIGMA_PLUS) + g2 * emb(id1, b, SIGMA_PLUS)
+        return 0.5 * delta * sz + raising + raising.conj().T
+    if variant == "quasiJC":
+        g, delta = _require(spec, "g", "delta")
+        raising = g * emb(a, id2, SIGMA_PLUS)
+        return 0.5 * delta * sz + raising + raising.conj().T
+    if variant == "effectiveEqualFreq":
+        g, delta = _require(spec, "g", "delta")
+        shift = g * g / delta
+        return 0.5 * delta * sz + shift * emb(num1, id2, SIGMA_Z) + shift * up_proj()
+    if variant in ("effectiveFalse", "effectiveCorrect"):
+        g1, g2, delta1, delta2 = _require(spec, "g1", "g2", "delta1", "delta2")
+        if g1 == 0.0 and g2 == 0.0:
+            raise BothCouplingsZero("effective variants need a nonzero coupling")
+        delta_eff = _effective_detuning(g1, g2, delta1, delta2)
+        ham = (
+            0.5 * delta_eff * sz
+            + (g1 * g1 / delta1) * emb(num1, id2, SIGMA_Z)
+            + (g2 * g2 / delta2) * emb(id1, num2, SIGMA_Z)
+        )
+        if variant == "effectiveCorrect":
+            cross = 0.5 * g1 * g2 * (1.0 / delta1 + 1.0 / delta2)
+            hop = emb(a.conj().T, b, id_atom)
+            ham = ham + cross * ((hop + hop.conj().T) @ sz)
+            ham = ham + (g1 * g1 / delta1 + g2 * g2 / delta2) * up_proj()
+        return ham
+    if variant == "decoupled":
+        g1, g2, delta1, delta2 = _require(spec, "g1", "g2", "delta1", "delta2")
+        if g1 == 0.0 and g2 == 0.0:
+            raise BothCouplingsZero("decoupled variant needs a nonzero coupling")
+        params = decouple_params(g1, g2, delta1, delta2)
+        delta_eff = _effective_detuning(g1, g2, delta1, delta2)
+        return (
+            0.5 * delta_eff * sz
+            + params.lambda_mode * emb(num1, id2, SIGMA_Z)
+            + params.zeta_mode * emb(id1, num2, SIGMA_Z)
+            + (params.lambda_mode + params.zeta_mode) * up_proj()
+        )
+    raise InvalidVariantParams(f"unknown variant {variant!r}")
+
+
+def excitation_number(dim1: int, dim2: int) -> ComplexMatrix:
+    """Conserved excitation count: sigma_z/2 + n1 + n2 on the full space."""
+    return np.diag(excitation_diagonal(dim1, dim2)).astype(np.complex128)
+
+
+def dense_from_triplets(triplets, size: int) -> ComplexMatrix:
+    """The size x size matrix of (rows, cols, values) triplets, duplicates
+    summed."""
+    rows, cols, values = triplets
+    out = np.zeros((size, size), dtype=np.complex128)
+    np.add.at(out, (rows, cols), values)
+    return out
+
+
 
 
 def _single_mode_atom_ops(dim: int):

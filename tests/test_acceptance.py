@@ -11,11 +11,9 @@ import pytest
 
 from quasicat import (
     AmplitudePair,
-    HamiltonianSpec,
     HermitianPropagator,
     SystemState,
     basis_state,
-    build_hamiltonian,
     cat_target,
     coherent_overlap,
     coherent_state,
@@ -39,6 +37,8 @@ from quasicat import (
 )
 from quasicat.cli import main
 from quasicat.modes import total_photon_shell_indices
+
+from oracles import SIGMA_PLUS, HamiltonianSpec, dense_hamiltonian
 
 
 def _random_capped_state(rng, dim, basis):
@@ -64,7 +64,7 @@ def test_basis_equivalence_random_states():
         rot = rotation_params(g1, g2)
         delta = (0.0, 0.5 * rot.g, 5.0 * rot.g)[k % 3]
         state = _random_capped_state(rng, dim, "physical")
-        ham = build_hamiltonian(
+        ham = dense_hamiltonian(
             HamiltonianSpec.interaction(g1, g2, delta), dim, dim
         )
         direct = HermitianPropagator(ham).evolve(state, t)
@@ -211,7 +211,7 @@ def test_dispersive_protocol():
     for ratio in (50.0, 100.0):
         delta = ratio * g
         t_prime = math.pi * delta / (2.0 * g * g)
-        ham = build_hamiltonian(HamiltonianSpec.quasi_jc(g, delta), dim, 2)
+        ham = dense_hamiltonian(HamiltonianSpec.quasi_jc(g, delta), dim, 2)
         oracle = HermitianPropagator(ham).evolve(state, t_prime)
         effective = evolve_effective(state, t_prime, g, delta)
         fidelities[ratio] = abs(np.vdot(oracle.tensor, effective.tensor)) ** 2
@@ -246,11 +246,11 @@ def test_elimination_residual_scaling():
 
 def test_false_hamiltonian_comparison():
     from quasicat import ladder_matrix
-    from quasicat.dynamics import SIGMA_PLUS, SIGMA_Z
+    from quasicat.dynamics import SIGMA_Z
 
     g1, g2, d1, d2, dim = 1.0, 0.8, 40.0, 55.0, 8
-    h_false = build_hamiltonian(HamiltonianSpec.effective_false(g1, g2, d1, d2), dim, dim)
-    h_correct = build_hamiltonian(
+    h_false = dense_hamiltonian(HamiltonianSpec.effective_false(g1, g2, d1, d2), dim, dim)
+    h_correct = dense_hamiltonian(
         HamiltonianSpec.effective_correct(g1, g2, d1, d2), dim, dim
     )
     a = ladder_matrix(dim)
@@ -268,8 +268,8 @@ def test_false_hamiltonian_comparison():
     state = product_state(
         coherent_state(1.2, dim_e), basis_state(0, dim_e), (1.0, 0.0), "quasi"
     )
-    hf = build_hamiltonian(HamiltonianSpec.effective_false(g, g, delta, delta), dim_e, dim_e)
-    hc = build_hamiltonian(
+    hf = dense_hamiltonian(HamiltonianSpec.effective_false(g, g, delta, delta), dim_e, dim_e)
+    hc = dense_hamiltonian(
         HamiltonianSpec.effective_correct(g, g, delta, delta), dim_e, dim_e
     )
     diverged_f = HermitianPropagator(hf).evolve(state, gt)
@@ -278,8 +278,8 @@ def test_false_hamiltonian_comparison():
 
     # one dead coupling with the atom in the lower level: both forms act
     # identically on that sector
-    hf0 = build_hamiltonian(HamiltonianSpec.effective_false(g, 0.0, delta, delta), dim_e, dim_e)
-    hc0 = build_hamiltonian(
+    hf0 = dense_hamiltonian(HamiltonianSpec.effective_false(g, 0.0, delta, delta), dim_e, dim_e)
+    hc0 = dense_hamiltonian(
         HamiltonianSpec.effective_correct(g, 0.0, delta, delta), dim_e, dim_e
     )
     same_f = HermitianPropagator(hf0).evolve(state, gt)
@@ -290,7 +290,7 @@ def test_false_hamiltonian_comparison():
     params = decouple_params(g1, g2, d1, d2)
     rot = rotation_params(math.cos(params.eta), math.sin(params.eta))
     r = np.kron(mode_rotation_unitary(rot, dim, dim), np.eye(2))
-    h_diag = build_hamiltonian(HamiltonianSpec.decoupled(g1, g2, d1, d2), dim, dim)
+    h_diag = dense_hamiltonian(HamiltonianSpec.decoupled(g1, g2, d1, d2), dim, dim)
     shell = total_photon_shell_indices(dim, dim, dim - 2)
     cols = np.concatenate([2 * shell, 2 * shell + 1])
     off = (r @ h_correct @ r.conj().T - h_diag)[:, cols]

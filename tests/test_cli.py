@@ -2,6 +2,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 
 import quasicat.cli as cli
 from quasicat import (
-    HamiltonianSpec,
     build_hamiltonian,
     ladder_matrix,
     mode_rotation_unitary,
@@ -29,6 +29,8 @@ from quasicat.cli import (
 from quasicat.dynamics import excitation_diagonal
 from quasicat.fock import coherent_dim
 from quasicat.modes import AmplitudePair, total_photon_shell_indices
+
+from oracles import HamiltonianSpec, dense_hamiltonian
 
 
 def _read_summary(out_dir):
@@ -94,7 +96,7 @@ def _dense_hamiltonian_checks(ham_int, g1, g2, delta, dim):
     """quasi_jc_rotation and excitation_commutator on the full (2 dim^2)^2
     matrices: dense conjugation and SVD 2-norms."""
     rot = rotation_params(g1, g2)
-    ham_quasi = build_hamiltonian(HamiltonianSpec.quasi_jc(rot.g, delta), dim, dim)
+    ham_quasi = dense_hamiltonian(HamiltonianSpec.quasi_jc(rot.g, delta), dim, dim)
     rotation_full = np.kron(mode_rotation_unitary(rot, dim, dim), np.eye(2))
     shell = total_photon_shell_indices(dim, dim, dim - 2)
     cols = np.concatenate([2 * shell, 2 * shell + 1])
@@ -114,7 +116,7 @@ def _dense_hamiltonian_checks(ham_int, g1, g2, delta, dim):
 def test_validate_sector_checks_match_dense_reference(dim, g1, g2, delta):
     flags = ["--g1", repr(g1), "--g2", repr(g2), f"--delta={delta!r}"]
     checks = _validate_report(dim, *flags).summary["checks"]
-    ham_int = build_hamiltonian(HamiltonianSpec.interaction(g1, g2, delta), dim, dim)
+    ham_int = dense_hamiltonian(HamiltonianSpec.interaction(g1, g2, delta), dim, dim)
     rotation_residual, commutator = _dense_hamiltonian_checks(
         ham_int, g1, g2, delta, dim
     )
@@ -125,20 +127,27 @@ def test_validate_sector_checks_match_dense_reference(dim, g1, g2, delta):
 
 def test_validate_commutator_catches_broken_conservation(monkeypatch):
     # a mode-1 drive a + a+ changes the excitation number, so the sector
-    # slicing would drop it; excitation_commutator must see it in full
+    # blocks would drop it; excitation_commutator must see it in full
     dim, g1, g2, delta = 10, 1.0, 0.7, 0.5
     a = ladder_matrix(dim)
     drive = 1e-3 * np.kron(np.kron(a + a.conj().T, np.eye(dim)), np.eye(2))
+    drive_rows, drive_cols = np.nonzero(drive)
 
-    def broken(spec, dim1, dim2):
-        ham = build_hamiltonian(spec, dim1, dim2)
-        return ham + drive if spec.variant == "interaction" else ham
+    def broken(g1_, g2_, delta_, dim_):
+        rows, cols, values = build_hamiltonian(g1_, g2_, delta_, dim_)
+        if g2_ == 0.0:  # the quasi-mode JC model stays intact
+            return rows, cols, values
+        return (
+            np.concatenate([rows, drive_rows]),
+            np.concatenate([cols, drive_cols]),
+            np.concatenate([values, drive[drive_rows, drive_cols].real]),
+        )
 
     monkeypatch.setattr(cli, "build_hamiltonian", broken)
     report = _validate_report(dim)
     checks = report.summary["checks"]
-    ham_int = broken(HamiltonianSpec.interaction(g1, g2, delta), dim, dim)
-    _, commutator = _dense_hamiltonian_checks(ham_int, g1, g2, delta, dim)
+    ham_int = dense_hamiltonian(HamiltonianSpec.interaction(g1, g2, delta), dim, dim)
+    _, commutator = _dense_hamiltonian_checks(ham_int + drive, g1, g2, delta, dim)
     assert commutator > VALIDATE_TOL
     assert abs(checks["excitation_commutator"] - commutator) <= 1e-13
     assert report.summary["all_passed"] is False
@@ -512,6 +521,27 @@ def test_huge_finite_value_is_numeric_error_naming_it(
     assert err.startswith("run error (")
     assert named in err
     assert "non-finite amplitude" not in err
+
+
+HUGE_ATOM_FLAGS = [
+    *[
+        f"{_flag(key)}={value}"
+        for key in ("gamma_re", "gamma_im", "delta_amp_re", "delta_amp_im")
+        for value in ("1e300", "-1e300")
+    ],
+    # |gamma| itself is past the largest float
+    "--gamma-re=1.7e308 --gamma-im=1.7e308",
+]
+
+
+@pytest.mark.parametrize("flags", HUGE_ATOM_FLAGS)
+@pytest.mark.parametrize("scenario", ["zero-detuning", "large-detuning"])
+def test_huge_atom_amplitude_is_numeric_error_without_warning(tmp_path, scenario, flags):
+    out = str(tmp_path / "o")
+    argv = [scenario, "--out", out, *FUZZ_BASE[scenario], *flags.split()]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 3
 
 
 def test_beta_alone_takes_the_off_axis_path(tmp_path):

@@ -14,7 +14,6 @@ from quasicat import (
     DetuningTooSmall,
     DimTooSmall,
     DimensionMismatch,
-    HamiltonianSpec,
     HermitianPropagator,
     InvalidVariantParams,
     NonPositiveInput,
@@ -31,8 +30,6 @@ from quasicat import (
     elimination_operator_residuals,
     evolve_effective,
     evolve_exact_jc,
-    evolve_oracle,
-    excitation_number,
     half_revival_time,
     ladder_matrix,
     large_amplitude_state,
@@ -49,7 +46,6 @@ from quasicat import (
     two_mode_cat_target,
 )
 from quasicat.dynamics import (
-    SIGMA_PLUS,
     SIGMA_Z,
     dispersive_norm,
     excitation_diagonal,
@@ -58,6 +54,13 @@ from quasicat.dynamics import (
 from quasicat.modes import total_photon_shell_indices
 
 import oracles
+from oracles import (
+    SIGMA_PLUS,
+    HamiltonianSpec,
+    dense_from_triplets,
+    dense_hamiltonian,
+    excitation_number,
+)
 
 
 def _shell_capped_state(rng, dim1, dim2, basis):
@@ -122,18 +125,43 @@ def test_product_state_field_only():
     ],
 )
 def test_build_hamiltonian_hermitian(spec):
-    h = build_hamiltonian(spec, 5, 4)
+    h = dense_hamiltonian(spec, 5, 4)
     assert np.abs(h - h.conj().T).max() < 1e-12
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    g1=strategies.floats(-3.0, 3.0),
+    g2=strategies.floats(-3.0, 3.0),
+    delta=strategies.one_of(strategies.just(0.0), strategies.floats(-5.0, 5.0)),
+    dim=strategies.integers(2, 12),
+)
+def test_build_hamiltonian_triplets_match_dense_variants(g1, g2, delta, dim):
+    size = 2 * dim * dim
+    triplets = build_hamiltonian(g1, g2, delta, dim)
+    rows, cols, _ = triplets
+    assert np.unique(rows * size + cols).size == rows.size
+    dense = dense_hamiltonian(HamiltonianSpec.interaction(g1, g2, delta), dim, dim)
+    assert np.array_equal(dense_from_triplets(triplets, size), dense)
+    # the quasi-mode JC model is the interaction with the second coupling off
+    quasi_jc = dense_hamiltonian(HamiltonianSpec.quasi_jc(g1, delta), dim, dim)
+    jc_triplets = build_hamiltonian(g1, 0.0, delta, dim)
+    assert np.array_equal(dense_from_triplets(jc_triplets, size), quasi_jc)
+
+
+def test_build_hamiltonian_guards_dim():
+    with pytest.raises(DimTooSmall):
+        build_hamiltonian(1.0, 0.5, 0.3, 1)
+
+
 def test_interaction_no_coupling_is_diagonal():
-    h = build_hamiltonian(HamiltonianSpec.interaction(0.0, 0.0, 0.8), 4, 4)
+    h = dense_hamiltonian(HamiltonianSpec.interaction(0.0, 0.0, 0.8), 4, 4)
     expected = 0.5 * 0.8 * np.kron(np.eye(16), SIGMA_Z)
     np.testing.assert_allclose(h, expected, atol=1e-14)
 
 
 def test_interaction_conserves_excitation():
-    h = build_hamiltonian(HamiltonianSpec.interaction(1.0, 0.7, 0.5), 6, 6)
+    h = dense_hamiltonian(HamiltonianSpec.interaction(1.0, 0.7, 0.5), 6, 6)
     n = excitation_number(6, 6)
     assert np.abs(h @ n - n @ h).max() < 1e-10
 
@@ -141,8 +169,8 @@ def test_interaction_conserves_excitation():
 def test_quasi_jc_is_rotated_interaction():
     g1, g2, delta, dim = 1.0, 0.7, 0.5, 8
     rot = rotation_params(g1, g2)
-    h_int = build_hamiltonian(HamiltonianSpec.interaction(g1, g2, delta), dim, dim)
-    h_quasi = build_hamiltonian(HamiltonianSpec.quasi_jc(rot.g, delta), dim, dim)
+    h_int = dense_hamiltonian(HamiltonianSpec.interaction(g1, g2, delta), dim, dim)
+    h_quasi = dense_hamiltonian(HamiltonianSpec.quasi_jc(rot.g, delta), dim, dim)
     r = np.kron(mode_rotation_unitary(rot, dim, dim), np.eye(2))
     shell = total_photon_shell_indices(dim, dim, dim - 2)
     cols = np.concatenate([2 * shell, 2 * shell + 1])
@@ -151,15 +179,15 @@ def test_quasi_jc_is_rotated_interaction():
 
 
 def test_effective_correct_reduces_to_equal_freq():
-    h1 = build_hamiltonian(HamiltonianSpec.effective_correct(1.0, 0.0, 40.0, 40.0), 5, 5)
-    h2 = build_hamiltonian(HamiltonianSpec.effective_equal_freq(1.0, 40.0), 5, 5)
+    h1 = dense_hamiltonian(HamiltonianSpec.effective_correct(1.0, 0.0, 40.0, 40.0), 5, 5)
+    h2 = dense_hamiltonian(HamiltonianSpec.effective_equal_freq(1.0, 40.0), 5, 5)
     assert np.abs(h1 - h2).max() < 1e-14
 
 
 def test_false_vs_correct_difference_is_analytic():
     g1, g2, d1, d2, dim = 1.0, 0.8, 40.0, 55.0, 5
-    hf = build_hamiltonian(HamiltonianSpec.effective_false(g1, g2, d1, d2), dim, dim)
-    hc = build_hamiltonian(HamiltonianSpec.effective_correct(g1, g2, d1, d2), dim, dim)
+    hf = dense_hamiltonian(HamiltonianSpec.effective_false(g1, g2, d1, d2), dim, dim)
+    hc = dense_hamiltonian(HamiltonianSpec.effective_correct(g1, g2, d1, d2), dim, dim)
     a = ladder_matrix(dim)
     hop = np.kron(np.kron(a.conj().T, a), np.eye(2))
     sz = np.kron(np.eye(dim * dim), SIGMA_Z)
@@ -173,8 +201,8 @@ def test_false_vs_correct_difference_is_analytic():
 def test_decoupled_diagonalizes_correct_variant():
     g1, g2, d1, d2, dim = 1.0, 0.8, 40.0, 55.0, 8
     params = decouple_params(g1, g2, d1, d2)
-    hc = build_hamiltonian(HamiltonianSpec.effective_correct(g1, g2, d1, d2), dim, dim)
-    hd = build_hamiltonian(HamiltonianSpec.decoupled(g1, g2, d1, d2), dim, dim)
+    hc = dense_hamiltonian(HamiltonianSpec.effective_correct(g1, g2, d1, d2), dim, dim)
+    hd = dense_hamiltonian(HamiltonianSpec.decoupled(g1, g2, d1, d2), dim, dim)
     rot = rotation_params(math.cos(params.eta), math.sin(params.eta))
     r = np.kron(mode_rotation_unitary(rot, dim, dim), np.eye(2))
     shell = total_photon_shell_indices(dim, dim, dim - 2)
@@ -187,9 +215,9 @@ def test_variant_guards():
     with pytest.raises(InvalidVariantParams):
         HamiltonianSpec("bogus")
     with pytest.raises(InvalidVariantParams):
-        build_hamiltonian(HamiltonianSpec("quasiJC", g=1.0), 4, 4)  # delta missing
+        dense_hamiltonian(HamiltonianSpec("quasiJC", g=1.0), 4, 4)  # delta missing
     with pytest.raises(DimTooSmall):
-        build_hamiltonian(HamiltonianSpec.quasi_jc(1.0, 0.0), 1, 4)
+        dense_hamiltonian(HamiltonianSpec.quasi_jc(1.0, 0.0), 1, 4)
     with pytest.raises(DetuningTooSmall):
         HamiltonianSpec.effective_equal_freq(1.0, 3.0)
     with pytest.warns(DetuningRatioWarning):
@@ -202,15 +230,15 @@ def test_variant_guards():
 def test_oracle_t_zero_identity():
     rng = np.random.default_rng(0)
     st = _shell_capped_state(rng, 5, 5, "physical")
-    h = build_hamiltonian(HamiltonianSpec.interaction(1.0, 0.5, 0.3), 5, 5)
-    out = evolve_oracle(h, st, 0.0)
+    h = dense_hamiltonian(HamiltonianSpec.interaction(1.0, 0.5, 0.3), 5, 5)
+    out = HermitianPropagator(h).evolve(st, 0.0)
     assert np.abs(out.tensor - st.tensor).max() < 1e-12
 
 
 def test_oracle_group_property_and_conservation():
     rng = np.random.default_rng(1)
     st = _shell_capped_state(rng, 5, 5, "physical")
-    h = build_hamiltonian(HamiltonianSpec.interaction(1.0, 0.5, 0.3), 5, 5)
+    h = dense_hamiltonian(HamiltonianSpec.interaction(1.0, 0.5, 0.3), 5, 5)
     prop = HermitianPropagator(h)
     once = prop.evolve(prop.evolve(st, 1.1), 2.3)
     at_once = prop.evolve(st, 3.4)
@@ -232,9 +260,9 @@ def test_oracle_diagonal_phases():
 def test_oracle_excitation_moments_conserved():
     rng = np.random.default_rng(2)
     st = _shell_capped_state(rng, 6, 6, "physical")
-    h = build_hamiltonian(HamiltonianSpec.interaction(1.0, 0.7, 0.5), 6, 6)
+    h = dense_hamiltonian(HamiltonianSpec.interaction(1.0, 0.7, 0.5), 6, 6)
     n = excitation_number(6, 6)
-    out = evolve_oracle(h, st, 4.2)
+    out = HermitianPropagator(h).evolve(st, 4.2)
     for op in (n, n @ n):
         before = np.vdot(st.flat(), op @ st.flat()).real
         after = np.vdot(out.flat(), op @ out.flat()).real
@@ -265,8 +293,8 @@ def test_excitation_sectors_partition_the_space(dim1, dim2):
     seed=strategies.integers(0, 2**32 - 1),
 )
 def test_sector_oracle_matches_dense_oracle(dim, g1, g2, delta, t, seed):
-    ham = build_hamiltonian(HamiltonianSpec.interaction(g1, g2, delta), dim, dim)
-    ham_quasi = build_hamiltonian(
+    ham = dense_hamiltonian(HamiltonianSpec.interaction(g1, g2, delta), dim, dim)
+    ham_quasi = dense_hamiltonian(
         HamiltonianSpec.quasi_jc(math.hypot(g1, g2), delta), dim, dim
     )
     sectors = excitation_sectors(dim, dim)
@@ -309,17 +337,17 @@ def test_exact_jc_rabi_half_cycle():
 def test_exact_jc_matches_oracle():
     rng = np.random.default_rng(3)
     st = _shell_capped_state(rng, 10, 4, "quasi")
-    h = build_hamiltonian(HamiltonianSpec.quasi_jc(1.0, 0.7), 10, 4)
+    h = dense_hamiltonian(HamiltonianSpec.quasi_jc(1.0, 0.7), 10, 4)
     fast = evolve_exact_jc(st, 3.2, 1.0, 0.7)
-    slow = evolve_oracle(h, st, 3.2)
+    slow = HermitianPropagator(h).evolve(st, 3.2)
     assert abs(np.vdot(slow.tensor, fast.tensor)) ** 2 >= 1.0 - 1e-10
 
     # dispersive regime at the large-detuning protocol time pi delta / (2 g^2)
     g, delta = 0.5, 60.0
     t = math.pi * delta / (2.0 * g * g)
-    h = build_hamiltonian(HamiltonianSpec.quasi_jc(g, delta), 10, 4)
+    h = dense_hamiltonian(HamiltonianSpec.quasi_jc(g, delta), 10, 4)
     fast = evolve_exact_jc(st, t, g, delta)
-    slow = evolve_oracle(h, st, t)
+    slow = HermitianPropagator(h).evolve(st, t)
     assert np.abs(slow.tensor - fast.tensor).max() <= 1e-10
 
 
@@ -554,8 +582,8 @@ def test_effective_matches_oracle_matrix():
     dim = 16
     rng = np.random.default_rng(6)
     st = _shell_capped_state(rng, dim, 2, "quasi")
-    h = build_hamiltonian(HamiltonianSpec.effective_equal_freq(g, delta), dim, 2)
-    slow = evolve_oracle(h, st, 3.3)
+    h = dense_hamiltonian(HamiltonianSpec.effective_equal_freq(g, delta), dim, 2)
+    slow = HermitianPropagator(h).evolve(st, 3.3)
     fast = evolve_effective(st, 3.3, g, delta)
     assert abs(np.vdot(slow.tensor, fast.tensor)) ** 2 >= 1.0 - 1e-10
 
