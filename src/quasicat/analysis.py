@@ -75,28 +75,18 @@ def partial_trace(
     """
     keep = _normalize_keep(keep)
     kept_axes = [SUBSYSTEMS.index(name) for name in keep]
+    traced = [i for i in range(3) if i not in kept_axes]
     if isinstance(state, SystemState):
-        tensor = state.tensor
-        dims = tensor.shape
-        letters = "abc"
-        out_left = "".join(letters[i] for i in kept_axes)
-        conj_letters = "".join(
-            letters[i].upper() if i in kept_axes else letters[i] for i in range(3)
-        )
-        rho = np.einsum(f"abc,{conj_letters}->{out_left}{out_left.upper()}", tensor, np.conj(tensor))
+        dims = state.tensor.shape
+        rho = np.tensordot(state.tensor, np.conj(state.tensor), axes=(traced, traced))
     elif isinstance(state, DensityMatrix):
         dims = state.dims
         if len(dims) != 3:
             raise BadSubsystem("partial_trace over a DensityMatrix needs 3 factors")
-        full = state.matrix.reshape(*dims, *dims)
-        letters = "abc"
-        uppers = "ABC"
-        row = letters
-        col = "".join(uppers[i] if i in kept_axes else letters[i] for i in range(3))
-        out = "".join(letters[i] for i in kept_axes) + "".join(
-            uppers[i] for i in kept_axes
-        )
-        rho = np.einsum(f"{row}{col}->{out}", full)
+        rho = state.matrix.reshape(*dims, *dims)
+        # trace the highest axis first, so the lower axis numbers stay valid
+        for axis in reversed(traced):
+            rho = np.trace(rho, axis1=axis, axis2=axis + rho.ndim // 2)
     else:
         raise BadSubsystem("partial_trace takes a SystemState or DensityMatrix")
     kept_dims = tuple(int(dims[i]) for i in kept_axes)
@@ -151,13 +141,52 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return float(0.5 * np.sum(np.abs(w)))
 
 
-def atomic_inversion(state: SystemState) -> float:
-    """<sigma_z> = P(upper) - P(lower)."""
-    if state.tensor.shape[2] != 2:
+def _amplitudes(state) -> np.ndarray:
+    """The (..., dim1, dim2, 2) amplitude stack of a SystemState or array."""
+    tensor = np.asarray(getattr(state, "tensor", state))
+    if tensor.ndim < 3 or tensor.shape[-1] != 2:
         raise BadSubsystem("state carries no atom")
-    p_upper = float(np.sum(np.abs(state.tensor[:, :, 1]) ** 2))
-    p_lower = float(np.sum(np.abs(state.tensor[:, :, 0]) ** 2))
-    return p_upper - p_lower
+    return tensor
+
+
+def _atom_density(state) -> np.ndarray:
+    """rho_atom[..., s, t] = sum over the field of psi_s conj(psi_t)."""
+    tensor = _amplitudes(state)
+    levels = tensor.reshape(tensor.shape[:-3] + (-1, 2))
+    return np.matmul(levels.swapaxes(-1, -2), levels.conj())
+
+
+def atomic_inversion(state):
+    """<sigma_z> = P(upper) - P(lower) of a pure state: a SystemState or a
+    (..., dim1, dim2, 2) amplitude stack, one value per leading index and a
+    float for a single state. The stack observables below read alike."""
+    rho = _atom_density(state)
+    return (rho[..., 1, 1].real - rho[..., 0, 0].real)[()]
+
+
+def atom_purity(state):
+    """trace(rho_atom^2); purity(partial_trace(state, "atom")) of each state."""
+    rho = _atom_density(state)
+    return np.sum(rho.real**2 + rho.imag**2, axis=(-2, -1))[()]
+
+
+def mode_overlaps(state, rays) -> np.ndarray:
+    """<ray|rho_1|ray> of each state's mode-1 reduced state, for each row of
+    rays (n_rays, dim1), ray axis last; pure_overlap without forming rho_1."""
+    tensor = _amplitudes(state)
+    proj = np.matmul(np.conj(rays), tensor.reshape(tensor.shape[:-2] + (-1,)))
+    return np.sum(proj.real**2 + proj.imag**2, axis=-1)
+
+
+def mode_mean_photon(state):
+    """mean_photon(partial_trace(state, "mode1")) of each state."""
+    tensor = _amplitudes(state)
+    *_, dim1, dim2, _ = tensor.shape
+    flat = np.ascontiguousarray(tensor).reshape(tensor.shape[:-3] + (-1,))
+    flat = flat.view(np.float64)
+    # each level n holds dim2 x 2 amplitudes, so 4 dim2 floats
+    number = np.repeat(np.arange(dim1, dtype=np.float64), 4 * dim2)
+    return ((flat * flat) @ number)[()]
 
 
 def mean_photon(rho: DensityMatrix) -> float:

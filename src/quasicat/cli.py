@@ -11,21 +11,32 @@ Exit codes: 0 success, 2 config error, 3 numeric/validity error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import __version__
-from .analysis import DensityMatrix, PhaseSpaceGrid, husimi_q
+from .analysis import (
+    DensityMatrix,
+    PhaseSpaceGrid,
+    atom_purity,
+    atomic_inversion,
+    husimi_q,
+    mode_mean_photon,
+    mode_overlaps,
+)
 from .dynamics import (
     HermitianPropagator,
     SystemState,
+    _effective_propagate,
+    _jc_propagate,
     build_hamiltonian,
     cat_target,
     adiabatic_residual,
@@ -38,6 +49,7 @@ from .dynamics import (
     excitation_sectors,
     half_revival_time,
     measure_atom,
+    norm_deviation,
     product_state,
     protocol_time,
 )
@@ -61,6 +73,10 @@ SCHEMA_VERSION = 1
 VALIDATE_TOL = 1e-6
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+# zero- and large-detuning propagate their time axis in chunks of this many
+# (time, level) amplitude pairs, so memory stays bounded at any dim
+CHUNK_PAIRS = 2048
 
 COMMON_DEFAULTS = {
     "out": "quasicat-out",
@@ -166,12 +182,14 @@ class ScenarioConfig:
 
 @dataclass
 class RunReport:
+    """A scenario's results; main adds the resolved config, seed and time."""
+
     scenario: str
-    config: dict
     summary: dict
-    timeseries_header: list
+    timeseries_header: str
     timeseries_rows: list
     qgrid: Optional[PhaseSpaceGrid] = None
+    config: dict = field(default_factory=dict)
     seed: int = 0
     wall_clock_s: float = 0.0
 
@@ -264,15 +282,10 @@ def _atom_amps(cfg) -> np.ndarray:
     return atom
 
 
-def _atom_purity(tensor) -> float:
-    rho = np.einsum("ijs,ijt->st", tensor, np.conj(tensor))
-    return float(np.vdot(rho, rho).real)
-
-
-def _cat_fidelity(tensor, cat_amps) -> float:
-    # <cat|rho_I|cat> without forming rho_I
-    proj = np.einsum("i,ijs->js", np.conj(cat_amps), tensor)
-    return float(np.sum(np.abs(proj) ** 2))
+def _time_chunks(times: np.ndarray, dim: int):
+    """Consecutive slices of times, each of at most CHUNK_PAIRS // dim times."""
+    step = max(1, CHUNK_PAIRS // dim)
+    return [times[k : k + step] for k in range(0, times.size, step)]
 
 
 def _sector_blocks(hamiltonian, sectors):
@@ -467,11 +480,9 @@ def run_validate(cfg: ScenarioConfig) -> RunReport:
     rows = [(float(i), float(v)) for i, v in enumerate(checks.values())]
     return RunReport(
         "validate",
-        dict(cfg.values),
         summary,
-        ["check_index", "residual"],
+        "check_index,residual",
         rows,
-        seed=cfg["seed"],
     )
 
 
@@ -506,35 +517,25 @@ def run_zero_detuning(cfg: ScenarioConfig) -> RunReport:
     t_star = protocol_time(nbar, rot.g)
     t_max = cfg["t_max"] if cfg["t_max"] is not None else revival
     times = np.linspace(0.0, t_max, cfg["t_steps"])
-    dt = times[1] - times[0]
 
     conventions = (1, -1) if cfg["convention"] == 0 else (cfg["convention"],)
-    cats = {
-        conv: cat_target(mu, nbar, conv, dim1, cfg["leak_tol"]).amps
-        for conv in conventions
-    }
+    cats = np.array(
+        [cat_target(mu, nbar, conv, dim1, cfg["leak_tol"]).amps for conv in conventions]
+    )
 
+    # every time is propagated directly from t = 0; a norm off 1 is refused,
+    # not renormalized, and the largest deviation is reported
     rows = []
-    current = state
-    for k, t in enumerate(times):
-        if k > 0:
-            current = evolve_exact_jc(current, dt, rot.g, 0.0)
-        tensor = current.tensor
-        inversion = float(
-            np.sum(np.abs(tensor[:, :, 1]) ** 2) - np.sum(np.abs(tensor[:, :, 0]) ** 2)
-        )
-        fid = max(_cat_fidelity(tensor, c) for c in cats.values())
-        n_mean = float(
-            np.sum(
-                np.arange(dim1)[:, None, None] * np.abs(tensor) ** 2
-            )
-        )
-        rows.append((t, inversion, _atom_purity(tensor), fid, n_mean))
+    worst_norm = 0.0
+    for chunk in _time_chunks(times, dim1):
+        stack = _jc_propagate(state.tensor, rot.g, 0.0, chunk)
+        worst_norm = max(worst_norm, norm_deviation(stack))
+        inversion, purity = atomic_inversion(stack), atom_purity(stack)
+        fid = mode_overlaps(stack, cats).max(axis=-1)
+        rows += zip(chunk, inversion, purity, fid, mode_mean_photon(stack))
 
     star_state = evolve_exact_jc(state, t_star, rot.g, 0.0)
-    fid_by_conv = {
-        conv: _cat_fidelity(star_state.tensor, c) for conv, c in cats.items()
-    }
+    fid_by_conv = dict(zip(conventions, mode_overlaps(star_state, cats).tolist()))
     best_conv = max(fid_by_conv, key=fid_by_conv.get)
     summary = {
         "nbar": nbar,
@@ -548,24 +549,17 @@ def run_zero_detuning(cfg: ScenarioConfig) -> RunReport:
         "dim2": star_state.tensor.shape[1],
         "revival_time": revival,
         "protocol_time": t_star,
-        "atomic_purity_at_protocol": _atom_purity(star_state.tensor),
+        "atomic_purity_at_protocol": atom_purity(star_state),
         "cat_fidelity_at_protocol": fid_by_conv[best_conv],
         "cat_convention_best": best_conv,
         "branch_overlap": math.exp(-2.0 * nbar),
+        "norm_deviation_max": worst_norm,
     }
     return RunReport(
         "zero-detuning",
-        dict(cfg.values),
         summary,
-        [
-            "t",
-            "atomic_inversion",
-            "atomic_purity",
-            "cat_fidelity",
-            "mean_photon_mode_i",
-        ],
+        "t,atomic_inversion,atomic_purity,cat_fidelity,mean_photon_mode_i",
         rows,
-        seed=cfg["seed"],
     )
 
 
@@ -594,19 +588,20 @@ def run_large_detuning(cfg: ScenarioConfig) -> RunReport:
         coherent_state(mu, dim1, cfg["leak_tol"]), basis_state(0, 1), atom, "quasi"
     )
 
-    # the oracle is the exact block solution of the quasiJC Hamiltonian;
-    # linspace sets its endpoint exactly, so the loop ends on the states at t'
+    # the states at t' are measured; evolve_effective also refuses (or warns
+    # about) the ratio. The oracle is the exact block solution of the quasiJC
+    # Hamiltonian; each track is propagated directly from t = 0
+    effective_state = evolve_effective(init, t_prime, g, delta)
+    oracle_state = evolve_exact_jc(init, t_prime, g, delta)
     times = np.linspace(0.0, t_prime, cfg["t_steps"])
     rows = []
-    for t in times:
-        oracle_state = evolve_exact_jc(init, t, g, delta)
-        effective_state = evolve_effective(init, t, g, delta)
-        fid = abs(np.vdot(oracle_state.tensor, effective_state.tensor)) ** 2
-        inversion = float(
-            np.sum(np.abs(oracle_state.tensor[:, :, 1]) ** 2)
-            - np.sum(np.abs(oracle_state.tensor[:, :, 0]) ** 2)
-        )
-        rows.append((t, float(fid), inversion))
+    worst_norm = 0.0
+    for chunk in _time_chunks(times, dim1):
+        oracle = _jc_propagate(init.tensor, g, delta, chunk)
+        effective = _effective_propagate(init.tensor, g, delta, chunk)
+        worst_norm = max(worst_norm, norm_deviation(oracle), norm_deviation(effective))
+        overlap = np.sum(np.conj(oracle) * effective, axis=(-3, -2, -1))
+        rows += zip(chunk, np.abs(overlap) ** 2, atomic_inversion(oracle))
 
     # branch analysis on the dispersive prediction: the protocol's two
     # entangled-coherent outputs live there; the oracle enters through the
@@ -630,14 +625,13 @@ def run_large_detuning(cfg: ScenarioConfig) -> RunReport:
         "branch_overlap": math.exp(-2.0 * nbar),
         "effective_fidelity_at_t_prime": rows[-1][1],
         "measurement_basis": cfg["basis"],
+        "norm_deviation_max": worst_norm,
     }
     return RunReport(
         "large-detuning",
-        dict(cfg.values),
         summary,
-        ["t", "effective_vs_oracle_fidelity", "atomic_inversion"],
+        "t,effective_vs_oracle_fidelity,atomic_inversion",
         rows,
-        seed=cfg["seed"],
     )
 
 
@@ -689,37 +683,28 @@ def run_adiabatic_sweep(cfg: ScenarioConfig) -> RunReport:
     }
     return RunReport(
         "adiabatic-sweep",
-        dict(cfg.values),
         summary,
-        [
-            "delta_over_g",
-            "residual",
-            "residual_relative",
-            "mode_residual",
-            "lowering_residual",
-            "inversion_residual",
-        ],
+        "delta_over_g,residual,residual_relative,"
+        "mode_residual,lowering_residual,inversion_residual",
         rows,
-        seed=cfg["seed"],
     )
 
 
 def _grid_peaks(grid: PhaseSpaceGrid, top: int = 2, min_separation: float = 0.5):
+    """The top interior local maxima of Q (each at least its four neighbours
+    and 1e-4), at least min_separation apart, largest first."""
     values = grid.values
-    found = []
-    for i in range(1, values.shape[0] - 1):
-        for j in range(1, values.shape[1] - 1):
-            v = values[i, j]
-            if v < 1e-4:
-                continue
-            if (
-                v >= values[i - 1, j]
-                and v >= values[i + 1, j]
-                and v >= values[i, j - 1]
-                and v >= values[i, j + 1]
-            ):
-                found.append((float(v), float(grid.re_axis[j]), float(grid.im_axis[i])))
-    found.sort(reverse=True)
+    inner = values[1:-1, 1:-1]
+    peak = (
+        (inner >= 1e-4)
+        & (inner >= values[:-2, 1:-1])
+        & (inner >= values[2:, 1:-1])
+        & (inner >= values[1:-1, :-2])
+        & (inner >= values[1:-1, 2:])
+    )
+    i, j = np.nonzero(peak)
+    re, im = grid.re_axis[j + 1].tolist(), grid.im_axis[i + 1].tolist()
+    found = sorted(zip(inner[i, j].tolist(), re, im), reverse=True)
     picked = []
     for v, re, im in found:
         if all(
@@ -740,13 +725,11 @@ def run_qfunc(cfg: ScenarioConfig) -> RunReport:
         mu = math.sqrt(nbar)
     dim = cfg["dim"] or coherent_dim(mu, cfg["leak_tol"])
     cat = cat_target(mu, nbar, cfg["convention"], dim, cfg["leak_tol"])
-    rho = DensityMatrix(
-        np.outer(cat.amps, np.conj(cat.amps)), (dim,), "mode1"
-    )
+    rho = DensityMatrix(np.outer(cat.amps, np.conj(cat.amps)), (dim,), "mode1")
     grid = husimi_q(rho, count=cfg["grid_points"])
     peaks = _grid_peaks(grid)
     mid = int(np.argmin(np.abs(grid.re_axis)))
-    rows = [(float(im), float(grid.values[i, mid])) for i, im in enumerate(grid.im_axis)]
+    rows = list(zip(grid.im_axis, grid.values[:, mid]))
     summary = {
         "mu": [complex(mu).real, complex(mu).imag],
         "nbar": nbar,
@@ -762,12 +745,10 @@ def run_qfunc(cfg: ScenarioConfig) -> RunReport:
     }
     return RunReport(
         "qfunc",
-        dict(cfg.values),
         summary,
-        ["im", "q_along_imag_axis"],
+        "im,q_along_imag_axis",
         rows,
         qgrid=grid,
-        seed=cfg["seed"],
     )
 
 
@@ -781,24 +762,23 @@ SCENARIOS = {
 
 
 def _plain(obj):
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    return obj
+    """JSON form of the numpy scalars and arrays json does not know."""
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def write_timeseries(path: str, header, rows):
+def _row_format(width: int) -> str:
+    """One %-format for a CSV row of width values, each as format(v, ".17e")."""
+    return ",".join(["%.17e"] * width) + "\n"
+
+
+def write_timeseries(path: str, header: str, rows):
+    """header is the CSV header row; each row holds one value per column."""
+    line = _row_format(header.count(",") + 1)
     with open(path, "w") as handle:
-        handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(format(float(v), ".17e") for v in row) + "\n")
+        handle.write(header + "\n")
+        handle.writelines(line % tuple(map(float, row)) for row in rows)
 
 
 def write_summary(path: str, report: RunReport):
@@ -807,28 +787,23 @@ def write_summary(path: str, report: RunReport):
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
         "seed": report.seed,
-        "config": _plain(report.config),
-        "summary": _plain(report.summary),
+        "config": report.config,
+        "summary": report.summary,
         "wall_clock_s": report.wall_clock_s,
     }
     with open(path, "w") as handle:
-        json.dump(payload, handle, sort_keys=True, indent=2)
+        json.dump(payload, handle, sort_keys=True, indent=2, default=_plain)
         handle.write("\n")
 
 
 def write_qgrid(path: str, grid: PhaseSpaceGrid):
     """Re axis as the header row, im axis as the leading column."""
+    header = _row_format(grid.re_axis.size) % tuple(grid.re_axis.tolist())
+    line = _row_format(1 + grid.re_axis.size)
     with open(path, "w") as handle:
-        handle.write(
-            "im/re," + ",".join(format(v, ".17e") for v in grid.re_axis) + "\n"
-        )
-        for i, im in enumerate(grid.im_axis):
-            handle.write(
-                format(im, ".17e")
-                + ","
-                + ",".join(format(v, ".17e") for v in grid.values[i])
-                + "\n"
-            )
+        handle.write("im/re," + header)
+        for im, row in zip(grid.im_axis.tolist(), grid.values.tolist()):
+            handle.write(line % (im, *row))
 
 
 def emit(report: RunReport, out_dir: str):
@@ -874,16 +849,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first main call and kept: parsing never changes the parser
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    namespace = parser.parse_args(argv)
+    namespace = _parser().parse_args(argv)
     try:
         cfg = resolve_config(namespace.scenario, namespace)
-    except ConfigInvalid as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    started = time.perf_counter()
-    try:
+        started = time.perf_counter()
         report = SCENARIOS[cfg.scenario](cfg)
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -892,14 +866,12 @@ def main(argv=None) -> int:
         print(f"run error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 3
     report.wall_clock_s = time.perf_counter() - started
+    report.config, report.seed = dict(cfg.values), cfg["seed"]
     emit(report, cfg["out"])
     summary_path = os.path.join(cfg["out"], "summary.json")
     if report.summary.get("all_passed") is False:
-        failed = [
-            name
-            for name, value in report.summary["checks"].items()
-            if not value < VALIDATE_TOL
-        ]
+        checks = report.summary["checks"].items()
+        failed = [name for name, value in checks if not value < VALIDATE_TOL]
         print(
             f"run error: checks at or above {VALIDATE_TOL:g}: {', '.join(failed)};"
             f" see {summary_path}",

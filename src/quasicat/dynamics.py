@@ -58,6 +58,9 @@ SIGMA_Z = np.diag([-1.0 + 0j, 1.0 + 0j])
 RATIO_MIN = 10.0
 RATIO_HARD_FLOOR = 5.0
 
+# a state whose norm is off 1 by more than this is refused
+NORM_TOL = 1e-6
+
 
 @dataclass
 class SystemState:
@@ -74,11 +77,8 @@ class SystemState:
             raise DimensionMismatch("atom axis must have size 1 or 2")
         if self.basis not in (PHYSICAL, QUASI):
             raise BasisMismatch(f"unknown basis tag {self.basis!r}")
-        if not np.all(np.isfinite(self.tensor.view(np.float64))):
-            raise NonFiniteInput("non-finite amplitude in SystemState")
         nrm = float(np.linalg.norm(self.tensor))
-        if abs(nrm - 1.0) > 1e-6:
-            raise NormViolation(f"SystemState norm {nrm} too far from 1")
+        norm_deviation(self.tensor, np.array(nrm))
         self.tensor = self.tensor / nrm
 
     @property
@@ -87,6 +87,22 @@ class SystemState:
 
     def flat(self) -> np.ndarray:
         return self.tensor.reshape(-1)
+
+
+def norm_deviation(stack: np.ndarray, norms: Optional[np.ndarray] = None) -> float:
+    """Largest |norm - 1| over a (..., dim1, dim2, atom) amplitude stack (or
+    of the given norms); refuses a non-finite amplitude or one above NORM_TOL
+    as SystemState does, but renormalizes nothing."""
+    flat = stack.reshape(stack.shape[:-3] + (-1,)).view(np.float64)
+    if not np.all(np.isfinite(flat)):
+        raise NonFiniteInput("non-finite amplitude in SystemState")
+    if norms is None:
+        norms = np.sqrt(np.einsum("...i,...i->...", flat, flat))
+    deviation = np.abs(norms - 1.0)
+    worst = int(np.argmax(deviation))
+    if deviation.flat[worst] > NORM_TOL:
+        raise NormViolation(f"SystemState norm {norms.flat[worst]} too far from 1")
+    return float(deviation.flat[worst])
 
 
 @dataclass
@@ -221,8 +237,9 @@ class HermitianPropagator:
 
 
 def _jc_propagate(psi, g, delta, t):
-    """Advance a (dim_I, batch, 2) quasi-basis tensor by exp(-iHt) under the
-    resonant-or-detuned single-mode atom coupling.
+    """exp(-iHt) of a (dim_I, batch, 2) quasi-basis tensor under the
+    resonant-or-detuned single-mode atom coupling, at each time of a scalar
+    or array t, directly from t = 0; the result has t's shape in front.
 
     Column 0 is the lower atomic level, column 1 the upper. Pairs
     (n, upper) <-> (n+1, lower) mix inside 2x2 blocks with Rabi frequency
@@ -231,22 +248,23 @@ def _jc_propagate(psi, g, delta, t):
     truncation-edge (dim-1, upper) level only pick up bare detuning phases.
     """
     d = psi.shape[0]
-    out = np.empty_like(psi)
+    t = np.asarray(t, dtype=np.float64)[..., None, None]
+    out = np.empty(t.shape[:-2] + psi.shape, dtype=np.complex128)
     edge = np.exp(0.5j * delta * t)
-    out[0, :, 0] = psi[0, :, 0] * edge
-    out[d - 1, :, 1] = psi[d - 1, :, 1] * np.conj(edge)
+    out[..., 0, :, 0] = psi[0, :, 0] * edge[..., 0]
+    out[..., d - 1, :, 1] = psi[d - 1, :, 1] * np.conj(edge[..., 0])
     if d > 1:
-        n = np.arange(d - 1, dtype=np.float64)
+        n = np.arange(d - 1, dtype=np.float64)[:, None]
         omega = np.hypot(delta, 2.0 * g * np.sqrt(n + 1.0))
         half = 0.5 * omega * t
         co = np.cos(half)
         si = np.sin(half)
-        diag = (co - 1j * (delta / omega) * si)[:, None]
-        mix = (-2j * g * np.sqrt(n + 1.0) / omega * si)[:, None]
+        diag = co - 1j * (delta / omega) * si
+        mix = -2j * g * np.sqrt(n + 1.0) / omega * si
         upper = psi[:-1, :, 1]
         lower = psi[1:, :, 0]
-        out[:-1, :, 1] = diag * upper + mix * lower
-        out[1:, :, 0] = mix * upper + np.conj(diag) * lower
+        out[..., :-1, :, 1] = diag * upper + mix * lower
+        out[..., 1:, :, 0] = mix * upper + np.conj(diag) * lower
     return out
 
 
@@ -354,6 +372,12 @@ def cat_target(
         dim = suggested_dim(mu) + 2
     plus_branch = coherent_state(1j * mu, dim, leak_tol).amps
     minus_branch = coherent_state(-1j * mu, dim, leak_tol).amps
+    return FockVector(_cat(plus_branch, minus_branch, nbar, convention), dim)
+
+
+def _cat(plus_branch, minus_branch, nbar: float, convention: int) -> np.ndarray:
+    """The normalized superposition of the +i mu and -i mu branches that both
+    cat targets share, with its branch phases; the norm keeps the overlap."""
     vec = (
         np.exp(1j * math.pi * nbar) * plus_branch
         - convention * np.exp(-1j * math.pi * nbar) * minus_branch
@@ -361,7 +385,7 @@ def cat_target(
     norm_sq = float(np.vdot(vec, vec).real)
     if norm_sq <= 1e-12:
         raise DegenerateCat("branches cancel; superposition collapsed to one ray")
-    return FockVector(vec / math.sqrt(norm_sq), dim)
+    return vec / math.sqrt(norm_sq)
 
 
 def two_mode_cat_target(
@@ -387,26 +411,13 @@ def two_mode_cat_target(
         raise ParameterOutOfRange("nbar must equal |mu|^2 of the rotated amplitude")
     if convention not in (1, -1):
         raise ParameterOutOfRange("convention must be +1 or -1")
-    branch_up = quasi_phase_amplitudes(rot, 1j, pair)
-    branch_dn = quasi_phase_amplitudes(rot, -1j, pair)
-    vec_up = np.einsum(
-        "i,j->ij",
-        coherent_state(branch_up.first, dim1, leak_tol).amps,
-        coherent_state(branch_up.second, dim2, leak_tol).amps,
-    )
-    vec_dn = np.einsum(
-        "i,j->ij",
-        coherent_state(branch_dn.first, dim1, leak_tol).amps,
-        coherent_state(branch_dn.second, dim2, leak_tol).amps,
-    )
-    field = (
-        np.exp(1j * math.pi * nbar) * vec_up
-        - convention * np.exp(-1j * math.pi * nbar) * vec_dn
-    )
-    norm_sq = float(np.vdot(field, field).real)
-    if norm_sq <= 1e-12:
-        raise DegenerateCat("branches cancel; superposition collapsed to one ray")
-    return SystemState((field / math.sqrt(norm_sq))[:, :, None], PHYSICAL)
+    fields = []
+    for phase in (1j, -1j):
+        branch = quasi_phase_amplitudes(rot, phase, pair)
+        first = coherent_state(branch.first, dim1, leak_tol).amps
+        second = coherent_state(branch.second, dim2, leak_tol).amps
+        fields.append(np.outer(first, second))
+    return SystemState(_cat(*fields, nbar, convention)[:, :, None], PHYSICAL)
 
 
 def evolve_effective(
@@ -424,14 +435,19 @@ def evolve_effective(
     if state.tensor.shape[2] != 2:
         raise DimensionMismatch("state needs an atom axis of size 2")
     _check_dispersive(abs(g), (delta,), ratio_min)
-    n = np.arange(state.tensor.shape[0], dtype=np.float64)
+    return SystemState(_effective_propagate(state.tensor, g, delta, t), QUASI)
+
+
+def _effective_propagate(psi, g, delta, t):
+    """evolve_effective's phases on a (dim_I, batch, 2) tensor at each time
+    of a scalar or array t, like _jc_propagate; the ratio is not checked."""
+    t = np.asarray(t, dtype=np.float64)[..., None, None]
+    n = np.arange(psi.shape[0], dtype=np.float64)[:, None]
     shift = g * g / delta
-    lower_phase = np.exp(1j * (0.5 * delta + shift * n) * t)
-    upper_phase = np.exp(-1j * (0.5 * delta + shift + shift * n) * t)
-    out = state.tensor.copy()
-    out[:, :, 0] *= lower_phase[:, None]
-    out[:, :, 1] *= upper_phase[:, None]
-    return SystemState(out, QUASI)
+    out = np.empty(t.shape[:-2] + psi.shape, dtype=np.complex128)
+    out[..., 0] = psi[..., 0] * np.exp(1j * (0.5 * delta + shift * n) * t)
+    out[..., 1] = psi[..., 1] * np.exp(-1j * (0.5 * delta + shift + shift * n) * t)
+    return out
 
 
 def measure_atom(state: SystemState, basis: str = "plusminus"):

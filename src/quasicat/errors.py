@@ -46,10 +46,6 @@ class DetuningTooSmall(QuasicatError):
     """Detuning-to-coupling ratio too small for the effective model."""
 
 
-class InvalidVariantParams(QuasicatError):
-    """Hamiltonian variant given missing or meaningless parameters."""
-
-
 class NormViolation(QuasicatError):
     """State vector or amplitude pair is not normalized."""
 

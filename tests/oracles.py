@@ -18,9 +18,15 @@ from quasicat.dynamics import (
     coupling_square,
     excitation_diagonal,
 )
-from quasicat.errors import BothCouplingsZero, DimTooSmall, InvalidVariantParams
+from quasicat.errors import BothCouplingsZero, DimTooSmall, QuasicatError
 from quasicat.fock import ComplexMatrix, expm_antihermitian, ladder_matrix
 from quasicat.modes import decouple_params
+
+
+class InvalidVariantParams(QuasicatError):
+    """Hamiltonian variant given missing or meaningless parameters. No
+    runtime code raises it; only the dense variant reference below does."""
+
 
 # Atom basis order (lower, upper).
 SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=np.complex128)
@@ -274,3 +280,32 @@ def elimination_operator_residuals(g: float, delta: float, dim: int, n_max: int)
             - 2.0 * lam * lam * (sp @ sm),
         ),
     }
+
+
+def grid_peaks_loop(grid, top: int = 2, min_separation: float = 0.5):
+    """The per-point loop that cli._grid_peaks replaced with one array
+    comparison against the four neighbours; it must pick the same peaks."""
+    values = grid.values
+    found = []
+    for i in range(1, values.shape[0] - 1):
+        for j in range(1, values.shape[1] - 1):
+            v = values[i, j]
+            if v < 1e-4:
+                continue
+            if (
+                v >= values[i - 1, j]
+                and v >= values[i + 1, j]
+                and v >= values[i, j - 1]
+                and v >= values[i, j + 1]
+            ):
+                found.append((float(v), float(grid.re_axis[j]), float(grid.im_axis[i])))
+    found.sort(reverse=True)
+    picked = []
+    for v, re, im in found:
+        if all(
+            math.hypot(re - p["re"], im - p["im"]) > min_separation for p in picked
+        ):
+            picked.append({"q": v, "re": re, "im": im})
+        if len(picked) == top:
+            break
+    return picked

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasicat import (
     BadSubsystem,
@@ -29,6 +31,7 @@ from quasicat import (
     trace_distance,
     two_mode_cat_target,
 )
+from quasicat.analysis import atom_purity, mode_mean_photon, mode_overlaps
 
 
 def _pure_dm(vec, dims):
@@ -175,6 +178,46 @@ def test_atomic_inversion_values():
     field_only = product_state(basis_state(0, 3), basis_state(0, 2), (1.0,))
     with pytest.raises(BadSubsystem):
         atomic_inversion(field_only)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 4), st.integers(1, 9), st.integers(1, 5)),
+    rays=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stack_observables_match_reduced_states(shape, rays, seed):
+    # each stack observable equals the partial-trace route on every slice
+    steps, dim1, dim2 = shape
+    rng = np.random.default_rng(seed)
+    stack = rng.normal(size=(steps, dim1, dim2, 2)) + 1j * rng.normal(
+        size=(steps, dim1, dim2, 2)
+    )
+    stack /= np.sqrt(np.sum(np.abs(stack) ** 2, axis=(1, 2, 3), keepdims=True))
+    targets = rng.normal(size=(rays, dim1)) + 1j * rng.normal(size=(rays, dim1))
+    targets /= np.linalg.norm(targets, axis=1, keepdims=True)
+    inversion = atomic_inversion(stack)
+    atom = atom_purity(stack)
+    overlaps = mode_overlaps(stack, targets)
+    photons = mode_mean_photon(stack)
+    assert overlaps.shape == (steps, rays)
+    for k in range(steps):
+        state = SystemState(stack[k], "quasi")
+        mode1 = partial_trace(state, "mode1")
+        assert abs(inversion[k] - atomic_inversion(state)) <= 1e-12
+        assert abs(atom[k] - purity(partial_trace(state, "atom"))) <= 1e-12
+        assert abs(photons[k] - mean_photon(mode1)) <= 1e-12
+        for r in range(rays):
+            assert abs(overlaps[k, r] - pure_overlap(mode1, targets[r])) <= 1e-12
+
+
+def test_stack_observables_of_one_state_are_floats():
+    state = product_state(coherent_state(0.9, 16), basis_state(0, 1), (0.6, 0.8))
+    assert isinstance(atomic_inversion(state.tensor), float)
+    assert isinstance(atom_purity(state), float)
+    assert mode_mean_photon(state) == pytest.approx(0.81, abs=1e-10)
+    with pytest.raises(BadSubsystem):
+        atom_purity(state.tensor[:, :, :1])
 
 
 def test_mean_photon():

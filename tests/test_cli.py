@@ -30,7 +30,7 @@ from quasicat.dynamics import excitation_diagonal
 from quasicat.fock import coherent_dim
 from quasicat.modes import AmplitudePair, total_photon_shell_indices
 
-from oracles import HamiltonianSpec, dense_hamiltonian
+from oracles import HamiltonianSpec, dense_hamiltonian, grid_peaks_loop
 
 
 def _read_summary(out_dir):
@@ -171,6 +171,7 @@ def test_zero_detuning_outputs(tmp_path):
     assert 0.0 <= s["cat_fidelity_at_protocol"] <= 1.0
     assert 0.5 <= s["atomic_purity_at_protocol"] <= 1.0
     assert s["cat_convention_best"] in (-1, 1)
+    assert 0.0 <= s["norm_deviation_max"] < 1e-12
 
 
 def test_large_detuning_outputs(tmp_path):
@@ -196,6 +197,7 @@ def test_large_detuning_outputs(tmp_path):
     assert s["prob_sum"] == pytest.approx(1.0, abs=1e-9)
     assert s["t_prime"] == pytest.approx(math.pi * 10.0)
     assert 0.0 <= s["effective_fidelity_at_t_prime"] <= 1.0
+    assert 0.0 <= s["norm_deviation_max"] < 1e-12
 
 
 def test_adiabatic_sweep_outputs(tmp_path):
@@ -615,3 +617,96 @@ def test_qfunc_at_nbar_200_with_automatic_dim(tmp_path):
     summary = _read_summary(out)["summary"]
     assert summary["dim"] == 307
     assert summary["q_max"] <= 1.0 / math.pi + 1e-12
+
+
+@pytest.mark.parametrize(
+    "scenario, kernel",
+    [
+        ("zero-detuning", "_jc_propagate"),
+        ("large-detuning", "_jc_propagate"),
+        ("large-detuning", "_effective_propagate"),
+    ],
+)
+@pytest.mark.parametrize(
+    "fault, cause",
+    [
+        ("nan", "NonFiniteInput): non-finite amplitude"),
+        ("norm", "NormViolation): SystemState norm"),
+    ],
+)
+def test_broken_time_axis_is_numeric_error(
+    tmp_path, capsys, monkeypatch, scenario, kernel, fault, cause
+):
+    # the time axis is checked, not renormalized: a NaN or a norm off by 1e-5
+    # on any one time ends the run with exit 3 and names the cause
+    original = getattr(cli, kernel)
+
+    def broken(psi, g, delta, t):
+        out = original(psi, g, delta, t)
+        if fault == "nan":
+            out[-1, 0, 0, 0] = np.nan
+        else:
+            out[-1] *= 1.0 + 1e-5
+        return out
+
+    monkeypatch.setattr(cli, kernel, broken)
+    out = tmp_path / "o"
+    assert main([scenario, "--out", str(out), "--t-steps", "7"]) == 3
+    assert cause in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_main_parses_with_one_parser_and_no_shared_state(tmp_path):
+    # the parser is built once, on the first main call; each call still
+    # starts from the defaults of its own scenario
+    cli._parser.cache_clear()
+    first, second, third = (str(tmp_path / name) for name in "abc")
+    assert main(["zero-detuning", "--nbar", "9", "--t-steps", "3", "--out", first]) == 0
+    assert main(["large-detuning", "--t-steps", "4", "--out", second]) == 0
+    assert main(["zero-detuning", "--t-steps", "2", "--out", third]) == 0
+    assert cli._parser.cache_info().misses == 1
+    configs = [_read_summary(out)["config"] for out in (first, second, third)]
+    for config, scenario, flags in zip(
+        configs,
+        ("zero-detuning", "large-detuning", "zero-detuning"),
+        ({"nbar": 9.0, "t_steps": 3}, {"t_steps": 4}, {"t_steps": 2}),
+    ):
+        expected = {**COMMON_DEFAULTS, **SCENARIO_DEFAULTS[scenario], **flags}
+        assert config == {**expected, "out": config["out"]}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+    levels=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_grid_peaks_match_the_point_loop(shape, levels, seed):
+    # few distinct values make plateaus and ties between candidate peaks
+    rng = np.random.default_rng(seed)
+    values = rng.integers(0, levels, size=shape) / levels * 0.3
+    grid = cli.PhaseSpaceGrid(
+        np.linspace(-2.0, 2.0, shape[1]), np.linspace(-1.5, 1.5, shape[0]), values
+    )
+    for top in (1, 2, 5):
+        assert cli._grid_peaks(grid, top) == grid_peaks_loop(grid, top)
+
+
+def test_writers_match_per_value_format(tmp_path):
+    # one %-format per row writes the bytes format(v, ".17e") writes per value
+    rng = np.random.default_rng(3)
+    values = rng.normal(size=(5, 7)) * 10.0 ** rng.integers(-300, 300, size=(5, 7))
+    values[0, :3] = [0.0, -0.0, 1.0 / 3.0]
+    grid = cli.PhaseSpaceGrid(np.linspace(-1, 1, 7), np.linspace(-2, 2, 5), values)
+    cli.write_qgrid(str(tmp_path / "q.csv"), grid)
+    header = "a,b,c,d,e,f,g"
+    cli.write_timeseries(str(tmp_path / "t.csv"), header, [tuple(r) for r in values])
+
+    def line(cells):
+        return ",".join(format(float(v), ".17e") for v in cells) + "\n"
+
+    expected_q = "im/re," + line(grid.re_axis)
+    expected_q += "".join(line([im, *row]) for im, row in zip(grid.im_axis, values))
+    assert (tmp_path / "q.csv").read_text() == expected_q
+    expected_t = header + "\n" + "".join(line(row) for row in values)
+    assert (tmp_path / "t.csv").read_text() == expected_t

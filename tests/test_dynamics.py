@@ -15,7 +15,6 @@ from quasicat import (
     DimTooSmall,
     DimensionMismatch,
     HermitianPropagator,
-    InvalidVariantParams,
     NonPositiveInput,
     NormViolation,
     ParameterOutOfRange,
@@ -57,6 +56,7 @@ import oracles
 from oracles import (
     SIGMA_PLUS,
     HamiltonianSpec,
+    InvalidVariantParams,
     dense_from_triplets,
     dense_hamiltonian,
     excitation_number,

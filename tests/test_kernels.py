@@ -5,7 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasicat.analysis import _husimi_grid
-from quasicat.dynamics import _jc_propagate
+from quasicat.dynamics import (
+    QUASI,
+    SystemState,
+    _effective_propagate,
+    _jc_propagate,
+    evolve_exact_jc,
+)
 from quasicat.fock import coherent_state, ladder_matrix
 
 
@@ -85,6 +91,31 @@ def test_jc_propagate_batch_axis_is_independent():
     for j in range(4):
         single = _jc_propagate(psi[:, j : j + 1, :].copy(), 1.1, 0.3, 1.9)
         assert np.abs(out[:, j : j + 1, :] - single).max() < 1e-13
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    dim=st.integers(2, 40),
+    g=st.floats(0.05, 2.0, exclude_min=True),
+    delta=st.floats(-15.0, 15.0),
+    times=st.lists(st.floats(0.0, 50.0), min_size=1, max_size=50),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_time_axis_equals_scalar_calls(dim, g, delta, times, seed):
+    # each time on the axis is the scalar call at that time, for both models
+    psi = _random_state(np.random.default_rng(seed), dim, 1)
+    times = np.array(times)
+    jc = _jc_propagate(psi, g, delta, times)
+    assert jc.shape == (times.size, dim, 1, 2)
+    state = SystemState(psi, QUASI)
+    # the dispersive model is refused below |delta| = 5 g
+    dispersive = np.copysign(abs(delta) + 5.0 * g, delta)
+    effective = _effective_propagate(psi, g, dispersive, times)
+    for k, t in enumerate(times):
+        assert np.abs(jc[k] - _jc_propagate(psi, g, delta, t)).max() <= 1e-14
+        assert np.abs(jc[k] - evolve_exact_jc(state, t, g, delta).tensor).max() <= 1e-14
+        scalar = _effective_propagate(psi, g, dispersive, t)
+        assert np.abs(effective[k] - scalar).max() <= 1e-14
 
 
 def test_husimi_grid_against_coherent_overlap():
