@@ -357,7 +357,8 @@ def cat_target(
     leak_tol: float = LEAK_TOL,
 ) -> FockVector:
     """Target single-mode cat reached at half the revival timescale:
-    proportional to e^{i pi nbar} |i mu> - convention * e^{-i pi nbar} |-i mu>.
+    proportional to e^{i pi nbar/2} |i mu> - convention e^{-i pi nbar/2} |-i mu>,
+    the branch phases large_amplitude_state gives at protocol_time.
 
     The normalization keeps the branch overlap (no orthogonality assumption).
     convention in {+1, -1} selects the relative branch sign, which is the
@@ -378,9 +379,10 @@ def cat_target(
 def _cat(plus_branch, minus_branch, nbar: float, convention: int) -> np.ndarray:
     """The normalized superposition of the +i mu and -i mu branches that both
     cat targets share, with its branch phases; the norm keeps the overlap."""
+    phase = 0.5 * math.pi * nbar
     vec = (
-        np.exp(1j * math.pi * nbar) * plus_branch
-        - convention * np.exp(-1j * math.pi * nbar) * minus_branch
+        np.exp(1j * phase) * plus_branch
+        - convention * np.exp(-1j * phase) * minus_branch
     )
     norm_sq = float(np.vdot(vec, vec).real)
     if norm_sq <= 1e-12:

@@ -8,6 +8,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies
 
 from quasicat import (
     AmplitudePair,
@@ -36,6 +38,7 @@ from quasicat import (
     suggested_dim,
 )
 from quasicat.cli import main
+from quasicat.fock import coherent_dim
 from quasicat.modes import total_photon_shell_indices
 
 from oracles import SIGMA_PLUS, HamiltonianSpec, dense_hamiltonian
@@ -171,6 +174,19 @@ def test_resonant_cat_generation():
         out, _ = _evolved_at_half_revival(25.0, 64, atom)
         assert purity(partial_trace(out, "atom")) >= 0.978
     assert time.perf_counter() - started < 300.0
+
+
+@settings(max_examples=20, deadline=None)
+@given(nbar=strategies.floats(10.0, 400.0))
+def test_cat_fidelity_is_smooth_in_nbar(nbar):
+    # the target's branch phases follow nbar continuously, so the fidelity at
+    # the protocol time does not jump with the fractional part of nbar
+    fidelities = []
+    for step in (0.0, 0.25, 0.5, 0.75):
+        dim = coherent_dim(math.sqrt(nbar + step))
+        out, mu = _evolved_at_half_revival(nbar + step, dim, (1.0, 0.0))
+        fidelities.append(_best_cat_fidelity(out, mu, nbar + step, dim))
+    assert max(fidelities) - min(fidelities) < 0.01
 
 
 def test_revival_peak_location():

@@ -50,6 +50,8 @@ from quasicat.dynamics import (
     excitation_diagonal,
     excitation_sectors,
 )
+from quasicat.analysis import mode_overlaps
+from quasicat.fock import coherent_dim
 from quasicat.modes import total_photon_shell_indices
 
 import oracles
@@ -464,16 +466,17 @@ def test_cat_norm_includes_cross_term():
         plus = coherent_state(1j * mu, 30).amps
         minus = coherent_state(-1j * mu, 30).amps
         vec = (
-            np.exp(1j * math.pi * nbar) * plus
-            - convention * np.exp(-1j * math.pi * nbar) * minus
+            np.exp(0.5j * math.pi * nbar) * plus
+            - convention * np.exp(-0.5j * math.pi * nbar) * minus
         )
         norm_sq = np.vdot(vec, vec).real
         expected = 2.0 - 2.0 * convention * np.real(
-            np.exp(-2j * math.pi * nbar) * coherent_overlap(1j * mu, -1j * mu)
+            np.exp(-1j * math.pi * nbar) * coherent_overlap(1j * mu, -1j * mu)
         )
         assert norm_sq == pytest.approx(expected, abs=1e-10)
         cat = cat_target(mu, nbar, convention, dim=30)
         assert abs(np.linalg.norm(cat.amps) - 1.0) < 1e-12
+        assert abs(np.vdot(vec, cat.amps)) ** 2 == pytest.approx(norm_sq, abs=1e-12)
 
 
 def test_cat_degenerate_boundary():
@@ -488,11 +491,28 @@ def test_cat_large_mu_orthogonal_branch_limit():
     mu, nbar = 5.0, 25.0
     cat = cat_target(mu, nbar, 1, dim=70)
     naive = (
-        np.exp(1j * math.pi * nbar) * coherent_state(1j * mu, 70).amps
-        - np.exp(-1j * math.pi * nbar) * coherent_state(-1j * mu, 70).amps
+        np.exp(0.5j * math.pi * nbar) * coherent_state(1j * mu, 70).amps
+        - np.exp(-0.5j * math.pi * nbar) * coherent_state(-1j * mu, 70).amps
     ) / math.sqrt(2.0)
     assert abs(coherent_overlap(5j, -5j)) ** 2 < 1e-20
     assert abs(np.vdot(naive, cat.amps)) ** 2 == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    nbar=strategies.floats(0.5, 400.0),
+    angle=strategies.floats(0.0, 2.0 * math.pi),
+    g=strategies.floats(0.1, 3.0),
+    atom=strategies.sampled_from([(1.0, 0.0), (0.0, 1.0)]),
+)
+def test_cat_target_has_the_branch_phases_of_the_dynamics(nbar, angle, g, atom):
+    # at protocol_time the large-amplitude state is the cat e^(+-i pi nbar/2)
+    # |+-i mu> for every real nbar, not only where nbar is an integer
+    mu = math.sqrt(nbar) * complex(math.cos(angle), math.sin(angle))
+    dim = coherent_dim(mu)
+    state = large_amplitude_state(protocol_time(nbar, g), mu, nbar, *atom, g, dim)
+    cats = np.array([cat_target(mu, nbar, c, dim).amps for c in (1, -1)])
+    assert mode_overlaps(state, cats).max() >= 1.0 - 1e-10
 
 
 def test_two_mode_cat_theta_zero_factorizes():
