@@ -703,8 +703,8 @@ def _grid_peaks(grid: PhaseSpaceGrid, top: int = 2, min_separation: float = 0.5)
         & (inner >= values[1:-1, 2:])
     )
     i, j = np.nonzero(peak)
-    re, im = grid.re_axis[j + 1].tolist(), grid.im_axis[i + 1].tolist()
-    found = sorted(zip(inner[i, j].tolist(), re, im), reverse=True)
+    at_re, at_im = grid.re_axis[j + 1].tolist(), grid.im_axis[i + 1].tolist()
+    found = sorted(zip(inner[i, j].tolist(), at_re, at_im), reverse=True)
     picked = []
     for v, re, im in found:
         if all(
@@ -725,7 +725,9 @@ def run_qfunc(cfg: ScenarioConfig) -> RunReport:
         mu = math.sqrt(nbar)
     dim = cfg["dim"] or coherent_dim(mu, cfg["leak_tol"])
     cat = cat_target(mu, nbar, cfg["convention"], dim, cfg["leak_tol"])
-    rho = DensityMatrix(np.outer(cat.amps, np.conj(cat.amps)), (dim,), "mode1")
+    rho = DensityMatrix(
+        np.outer(cat.amps, np.conj(cat.amps)), (dim,), "mode1"
+    )
     grid = husimi_q(rho, count=cfg["grid_points"])
     peaks = _grid_peaks(grid)
     mid = int(np.argmin(np.abs(grid.re_axis)))
@@ -870,8 +872,11 @@ def main(argv=None) -> int:
     emit(report, cfg["out"])
     summary_path = os.path.join(cfg["out"], "summary.json")
     if report.summary.get("all_passed") is False:
-        checks = report.summary["checks"].items()
-        failed = [name for name, value in checks if not value < VALIDATE_TOL]
+        failed = [
+            name
+            for name, value in report.summary["checks"].items()
+            if not value < VALIDATE_TOL
+        ]
         print(
             f"run error: checks at or above {VALIDATE_TOL:g}: {', '.join(failed)};"
             f" see {summary_path}",
