@@ -4,7 +4,7 @@ fidelity, atomic inversion, and Husimi-Q phase-space grids."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -24,18 +24,30 @@ SUBSYSTEMS = ("mode1", "mode2", "atom")
 # Eigenvalues below this are roundoff negativity and skipped in x ln x.
 ENTROPY_CLAMP = 1e-14
 
+# Husimi kernel: Fock levels summed per block, and the bytes that one chunk of
+# grid points may hold in its (block x points) terms and in its (r x points)
+# running sums each; 8 MiB is 8192 points for a ket.
+HUSIMI_BLOCK = 64
+HUSIMI_CHUNK_BYTES = 8 << 20
+
+# Within a block the terms grow by at most |alpha| per level; the block is
+# cut so that growth stays below e^HUSIMI_LOG_GROWTH, far from overflow.
+HUSIMI_LOG_GROWTH = 300.0
+
 
 @dataclass
 class DensityMatrix:
     """Hermitian PSD matrix of unit trace over one or more subsystems.
 
     dims records the factor dimensions (in state layout order) so the
-    matrix can be partially traced again.
+    matrix can be partially traced again. ket is the unit vector of a pure
+    state built with from_ket, and None otherwise.
     """
 
     matrix: np.ndarray
     dims: tuple
     label: str = ""
+    ket: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=np.complex128)
@@ -50,6 +62,30 @@ class DensityMatrix:
         tr = float(np.trace(self.matrix).real)
         if abs(tr - 1.0) > 1e-8:
             raise NormViolation(f"density matrix trace {tr} too far from 1")
+
+    @classmethod
+    def from_ket(cls, amps, label: str = "", dims=None) -> "DensityMatrix":
+        """|psi><psi| of a unit ket, which is kept as rho.ket.
+
+        The norm is checked with the trace tolerance above; the Hermitian
+        check is skipped, as an outer product holds it by construction.
+        dims defaults to one factor of the ket's size.
+        """
+        ket = np.asarray(amps, dtype=np.complex128)
+        dims = (ket.size,) if dims is None else tuple(int(d) for d in dims)
+        if ket.ndim != 1 or ket.size != int(np.prod(dims)):
+            raise DimensionMismatch(
+                f"ket shape {ket.shape} does not match dims {dims}"
+            )
+        norm_sq = float(np.vdot(ket, ket).real)
+        if not abs(norm_sq - 1.0) <= 1e-8:
+            raise NormViolation(f"ket norm squared {norm_sq} too far from 1")
+        rho = cls.__new__(cls)
+        rho.matrix = np.outer(ket, ket.conj())
+        rho.dims = dims
+        rho.label = label
+        rho.ket = ket
+        return rho
 
 
 def _normalize_keep(keep) -> tuple:
@@ -223,19 +259,52 @@ def _as_axis(spec, default_limit: float, count: int) -> np.ndarray:
     raise GridTooSmall("axis needs at least two points")
 
 
-def _husimi_grid(rho, re_axis, im_axis):
-    """Q(alpha) = <alpha|rho|alpha>/pi on a rectangular grid.
+def _coherent_q(weights, vectors, alphas) -> np.ndarray:
+    """sum_k weights[k] |<alpha|v_k>|^2 / pi at each alpha, for the columns
+    v_k of vectors (d, r): Q of rho = sum_k weights[k] v_k v_k^dagger.
 
-    Returns values[i, j] for alpha = re_axis[j] + 1i im_axis[i].
+    <alpha|v> = e^{-|alpha|^2/2} sum_n conj(alpha)^n / sqrt(n!) v_n. The
+    factor e^{-|alpha|^2/2} starts a log-scale per point, and the terms run
+    from 1 by the recurrence over n, a block of levels at a time. After each
+    block the last term and the running sums are divided by max(1, |term|)
+    and the log-scale takes the factor, so e^{-|alpha|^2/2} never underflows
+    on its own. Nor does a sum overflow: the terms peak near n = |alpha|^2
+    at e^{|alpha|^2/2} and fall by at most e^{B^2/(4|alpha|^2)} over the B
+    levels after it, so a block adds at most B e^{B/(2 sqrt 2)} times
+    max(1, |term|).
     """
-    d = rho.shape[0]
-    alphas = (re_axis[None, :] + 1j * im_axis[:, None]).ravel()
-    coh = np.empty((alphas.size, d), dtype=np.complex128)
-    coh[:, 0] = np.exp(-0.5 * np.abs(alphas) ** 2)
-    for n in range(1, d):
-        coh[:, n] = coh[:, n - 1] * alphas / np.sqrt(n)
-    q = np.einsum("pr,pr->p", np.conj(coh), coh @ rho.T).real / np.pi
-    return q.reshape(im_axis.size, re_axis.size)
+    d, r = vectors.shape
+    rows = np.ascontiguousarray(vectors.T)
+    inv_roots = 1.0 / np.sqrt(np.arange(1, d, dtype=np.float64))
+    chunk = max(1, HUSIMI_CHUNK_BYTES // (16 * max(r, HUSIMI_BLOCK)))
+    q = np.empty(alphas.size)
+    buffer = np.empty((HUSIMI_BLOCK, min(chunk, alphas.size)), dtype=np.complex128)
+    for start in range(0, alphas.size, chunk):
+        step = np.conj(alphas[start : start + chunk])
+        growth = math.log(max(float(np.abs(step).max()), math.e))
+        block = int(min(HUSIMI_BLOCK, max(1.0, HUSIMI_LOG_GROWTH // growth)))
+        log_scale = -0.5 * (step.real**2 + step.imag**2)
+        sums = np.zeros((r, step.size), dtype=np.complex128)
+        terms = buffer[:block, : step.size]
+        for lo in range(0, d, block):
+            hi = min(d, lo + block)
+            for n in range(lo, hi):
+                row = terms[n - lo]
+                if n == 0:
+                    row[:] = 1.0
+                else:
+                    np.multiply(prev, step, out=row)
+                    row *= inv_roots[n - 1]
+                prev = row
+            sums += rows[:, lo:hi] @ terms[: hi - lo]
+            scale = np.maximum(np.abs(prev), 1.0)
+            log_scale += np.log(scale)
+            np.reciprocal(scale, out=scale)
+            prev *= scale
+            sums *= scale
+        power = weights @ (sums.real**2 + sums.imag**2)
+        q[start : start + step.size] = power * np.exp(2.0 * log_scale)
+    return q / np.pi
 
 
 def husimi_q(
@@ -250,6 +319,13 @@ def husimi_q(
     both lobes of a cat with margin. Supplied axes must still reach
     1.5 sqrt(<n>) or the grid is rejected. Values are clamped at 0 against
     roundoff and never exceed 1/pi.
+
+    A rho built with DensityMatrix.from_ket is summed from its ket alone,
+    |<alpha|psi>|^2 / pi in O(points d); any other rho from its eigenvectors,
+    leaving out eigenvalues within eps of zero relative to the largest (that
+    moves Q by at most d eps / pi).
+    e^{-|alpha|^2/2} is carried as a log-scale, so Q holds to roundoff up
+    to NBAR_MAX on the default axes, where that factor alone underflows.
     """
     if len(rho.dims) != 1:
         raise BadSubsystem("husimi_q expects a single-mode density matrix")
@@ -264,6 +340,13 @@ def husimi_q(
                 f"axis reaches {max(abs(axis[0]), abs(axis[-1])):.2f} but the state"
                 f" needs {required:.2f}"
             )
-    values = _husimi_grid(rho.matrix, re_axis, im_axis)
-    values = np.maximum(values, 0.0)
+    if rho.ket is not None:
+        weights, vectors = np.ones(1), rho.ket[:, None]
+    else:
+        weights, vectors = np.linalg.eigh(rho.matrix)
+        keep = np.abs(weights) > np.finfo(np.float64).eps * np.abs(weights).max()
+        weights, vectors = weights[keep], vectors[:, keep]
+    alphas = (re_axis[None, :] + 1j * im_axis[:, None]).ravel()
+    values = _coherent_q(weights, vectors, alphas)
+    values = np.maximum(values, 0.0).reshape(im_axis.size, re_axis.size)
     return PhaseSpaceGrid(re_axis, im_axis, values)

@@ -453,7 +453,9 @@ def run_validate(cfg: ScenarioConfig) -> RunReport:
         - abs(branch_dn.second) ** 2
     )
 
-    # decoupling eigenvalues against the quadratic-form matrix
+    # decoupling eigenvalues against the quadratic-form matrix, relative to
+    # the largest |eigenvalue|: decouple_params is accurate to relative
+    # roundoff, and the shifts g^2/delta take any magnitude
     d1, d2 = cfg["delta"], 1.6 * cfg["delta"]
     params = decouple_params(cfg["g1"], cfg["g2"], d1, d2)
     cross = 0.5 * cfg["g1"] * cfg["g2"] * (1.0 / d1 + 1.0 / d2)
@@ -469,6 +471,7 @@ def run_validate(cfg: ScenarioConfig) -> RunReport:
             abs(params.lambda_mode - eigs[0]) + abs(params.zeta_mode - eigs[1]),
             abs(params.lambda_mode - eigs[1]) + abs(params.zeta_mode - eigs[0]),
         )
+        / np.abs(eigs).max()
     )
 
     summary = {
@@ -725,9 +728,7 @@ def run_qfunc(cfg: ScenarioConfig) -> RunReport:
         mu = math.sqrt(nbar)
     dim = cfg["dim"] or coherent_dim(mu, cfg["leak_tol"])
     cat = cat_target(mu, nbar, cfg["convention"], dim, cfg["leak_tol"])
-    rho = DensityMatrix(
-        np.outer(cat.amps, np.conj(cat.amps)), (dim,), "mode1"
-    )
+    rho = DensityMatrix.from_ket(cat.amps, "mode1")
     grid = husimi_q(rho, count=cfg["grid_points"])
     peaks = _grid_peaks(grid)
     mid = int(np.argmin(np.abs(grid.re_axis)))

@@ -32,6 +32,9 @@ from quasicat import (
     two_mode_cat_target,
 )
 from quasicat.analysis import atom_purity, mode_mean_photon, mode_overlaps
+from quasicat.fock import LEAK_TOL, NBAR_MAX, coherent_dim
+
+import oracles
 
 
 def _pure_dm(vec, dims):
@@ -317,3 +320,93 @@ def test_husimi_grid_guards():
     joint = partial_trace(_random_state(rng), ("mode1", "mode2"))
     with pytest.raises(BadSubsystem):
         husimi_q(joint)
+
+
+def test_from_ket_guards():
+    ket = coherent_state(1.0 + 0.5j, 24).amps
+    rho = DensityMatrix.from_ket(ket, "mode1")
+    assert rho.dims == (24,)
+    assert np.array_equal(rho.matrix, np.outer(ket, ket.conj()))
+    with pytest.raises(NormViolation):
+        DensityMatrix.from_ket(ket * math.sqrt(1.0 + 1e-6))
+    with pytest.raises(NormViolation):
+        DensityMatrix.from_ket(ket * math.sqrt(1.0 - 1e-6))
+    with pytest.raises(NormViolation):
+        DensityMatrix.from_ket(np.full(24, np.nan))
+    with pytest.raises(DimensionMismatch):
+        DensityMatrix.from_ket(ket, dims=(5,))
+    with pytest.raises(DimensionMismatch):
+        DensityMatrix.from_ket(ket.reshape(4, 6), dims=(24,))
+
+
+@pytest.mark.filterwarnings("error")
+def test_husimi_far_axes_stay_finite():
+    # past |beta| of about 1e7 a block of 64 levels would overflow, so the
+    # kernel cuts the block to keep the growth in range
+    alpha = 2.0 - 1.0j
+    rho = DensityMatrix.from_ket(coherent_state(alpha, 80).amps)
+    axis = np.array([-1e7, -1.0, 0.0, 2.0, 1e7])
+    grid = husimi_q(rho, axis, axis)
+    beta = axis[None, :] + 1j * axis[:, None]
+    exact = np.exp(-np.abs(beta - alpha) ** 2) / np.pi
+    assert np.abs(grid.values - exact).max() <= 1e-14
+
+
+def _axis(draw, reach):
+    """+-reach first, then 0 and random points within [-reach, reach]."""
+    inner = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6))
+    return np.array([draw(st.sampled_from((-1.0, 1.0))), 0.0, *inner]) * reach
+
+
+@st.composite
+def _husimi_case(draw, max_dim, mixed):
+    dim = draw(st.integers(2, max_dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ket = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    # weight the levels so that some kets sit near the vacuum, some far out
+    ket *= rng.random(dim) ** draw(st.sampled_from((0.0, 2.0, 8.0)))
+    if mixed:
+        unitary, _ = np.linalg.qr(
+            rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        )
+        # eigenvalues spread over many decades, and some exactly zero
+        weights = rng.random(dim) ** draw(st.sampled_from((1.0, 4.0, 16.0)))
+        weights[: draw(st.integers(0, dim - 1))] = 0.0
+        matrix = (unitary * (weights / weights.sum())) @ unitary.conj().T
+        rho = DensityMatrix(0.5 * (matrix + matrix.conj().T), (dim,))
+    else:
+        rho = DensityMatrix.from_ket(ket / np.linalg.norm(ket))
+    # |beta|^2 <= 600 keeps the dense reference clear of underflow
+    low = 1.5 * math.sqrt(max(mean_photon(rho), 0.0)) + 1e-9
+    reach = draw(st.floats(low, math.sqrt(300.0)))
+    return rho, _axis(draw, reach), _axis(draw, reach)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.one_of(_husimi_case(80, mixed=False), _husimi_case(30, mixed=True)))
+def test_husimi_matches_dense_reference(case):
+    rho, re_axis, im_axis = case
+    grid = husimi_q(rho, re_axis, im_axis)
+    dense = np.maximum(oracles.husimi_grid(rho.matrix, re_axis, im_axis), 0.0)
+    assert np.abs(grid.values - dense).max() <= 1e-14
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    nbar=st.floats(0.5, NBAR_MAX, exclude_max=True),
+    convention=st.sampled_from((1, -1)),
+    offsets=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4),
+)
+def test_husimi_cat_matches_closed_form(nbar, convention, offsets):
+    mu = math.sqrt(nbar)
+    cat = cat_target(mu, nbar, convention, coherent_dim(mu), LEAK_TOL)
+    limit = 1.5 * (mu + 2.0)
+    # both lobes sit at +-i mu on the imaginary axis
+    re_axis = np.array([-limit, 0.0, *offsets, limit])
+    im_axis = np.array([-limit, -mu, mu, *(mu + o for o in offsets), limit])
+    grid = husimi_q(DensityMatrix.from_ket(cat.amps), re_axis, im_axis)
+    alphas = re_axis[None, :] + 1j * im_axis[:, None]
+    exact = oracles.cat_husimi(mu, nbar, convention, alphas)
+    # the truncation bound from leak_tol; its derivation is in the docstring
+    bound = oracles.cat_husimi_bound(nbar, convention, LEAK_TOL)
+    assert np.abs(grid.values - exact).max() <= bound

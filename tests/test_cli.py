@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -27,9 +28,10 @@ from quasicat.cli import (
     run_validate,
 )
 from quasicat.dynamics import excitation_diagonal
-from quasicat.fock import coherent_dim
+from quasicat.fock import LEAK_TOL, coherent_dim
 from quasicat.modes import AmplitudePair, total_photon_shell_indices
 
+import oracles
 from oracles import HamiltonianSpec, dense_hamiltonian, grid_peaks_loop
 
 
@@ -227,6 +229,22 @@ def test_qfunc_outputs(tmp_path):
     lobes = sorted(p["im"] for p in s["peaks"])
     assert lobes[0] == pytest.approx(-2.0, abs=0.2)
     assert lobes[-1] == pytest.approx(2.0, abs=0.2)
+
+
+def test_qfunc_past_vacuum_underflow_matches_closed_form(tmp_path):
+    # at nbar 1400 e^{-|beta|^2/2} underflows over most of the grid, which a
+    # dense coherent matrix turns into errors of about 3e-3 in Q
+    out = str(tmp_path / "q")
+    assert main(["qfunc", "--out", out, "--nbar", "1400", "--grid-points", "61"]) == 0
+    rows = [line.split(",") for line in _read_rows(out, "qgrid.csv")]
+    re_axis = np.array(rows[0][1:], dtype=float)
+    im_axis = np.array([row[0] for row in rows[1:]], dtype=float)
+    values = np.array([row[1:] for row in rows[1:]], dtype=float)
+    alphas = re_axis[None, :] + 1j * im_axis[:, None]
+    exact = oracles.cat_husimi(math.sqrt(1400.0), 1400.0, 1, alphas)
+    assert values.max() > 0.1
+    bound = oracles.cat_husimi_bound(1400.0, 1, LEAK_TOL)
+    assert np.abs(values - exact).max() <= bound
 
 
 def test_missing_config_file_is_config_error(tmp_path, capsys):
@@ -574,13 +592,33 @@ def test_overflowing_detuning_names_the_failed_check(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("delta", ["1e-300", "-1e-300"])
-def test_vanishing_detuning_names_the_failed_check(tmp_path, capsys, delta):
+def test_vanishing_detuning_names_the_failed_check(tmp_path, delta):
     # 2 d1 d2 underflows here, so the decoupling cross term is formed from
-    # 1/d1 + 1/d2; the shifts g^2/delta near 1e300 leave the absolute
-    # decouple_eigenvalues residual far above VALIDATE_TOL
+    # 1/d1 + 1/d2; the shifts g^2/delta near 1e300 are exact to relative
+    # roundoff, and the residual is taken relative to the largest eigenvalue
+    out = str(tmp_path / "o")
     argv = ["validate", "--trials", "1", f"--delta={delta}"]
-    assert main([*argv, "--out", str(tmp_path / "o")]) == 3
+    assert main([*argv, "--out", out]) == 0
+    assert _read_summary(out)["summary"]["checks"]["decouple_eigenvalues"] < VALIDATE_TOL
+
+
+def test_decouple_eigenvalues_catches_relative_error(tmp_path, capsys, monkeypatch):
+    # lambda_mode is the largest eigenvalue at the defaults, so its relative
+    # error is the residual. An error of exactly 1e-6 reads 1e-6 less
+    # roundoff and sits on the pass/fail edge, so take one 1% above it.
+    error = 1.01e-6
+    real = cli.decouple_params
+
+    def off(*args):
+        params = real(*args)
+        return dataclasses.replace(params, lambda_mode=params.lambda_mode * (1 + error))
+
+    monkeypatch.setattr(cli, "decouple_params", off)
+    out = str(tmp_path / "o")
+    assert main(["validate", "--trials", "1", "--out", out]) == 3
     assert "decouple_eigenvalues" in capsys.readouterr().err
+    residual = _read_summary(out)["summary"]["checks"]["decouple_eigenvalues"]
+    assert residual == pytest.approx(error, rel=1e-8)
 
 
 def test_validate_reads_leak_tol(tmp_path, capsys):

@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasicat.analysis import _husimi_grid
+from quasicat.analysis import _coherent_q
 from quasicat.dynamics import (
     QUASI,
     SystemState,
@@ -121,10 +121,10 @@ def test_time_axis_equals_scalar_calls(dim, g, delta, times, seed):
 def test_husimi_grid_against_coherent_overlap():
     dim = 25
     psi = coherent_state(0.8 + 0.5j, dim).amps
-    rho = np.outer(psi, np.conj(psi))
     re = np.array([0.0, 0.8, -1.0])
     im = np.array([0.5, -0.5])
-    q = _husimi_grid(rho, re, im)
+    alphas = (re[None, :] + 1j * im[:, None]).ravel()
+    q = _coherent_q(np.ones(1), psi[:, None], alphas).reshape(im.size, re.size)
     assert q.shape == (2, 3)
     for i, y in enumerate(im):
         for j, x in enumerate(re):
