@@ -226,9 +226,13 @@ def mode_mean_photon(state):
 
 
 def mean_photon(rho: DensityMatrix) -> float:
+    """<n> of a single-mode rho; from the ket alone when rho has one, whose
+    |psi_n|^2 equals the diagonal of |psi><psi| bit for bit."""
     if len(rho.dims) != 1:
         raise BadSubsystem("mean_photon expects a single-mode density matrix")
     n = np.arange(rho.dims[0], dtype=np.float64)
+    if rho.ket is not None:
+        return float(np.sum(n * (rho.ket * rho.ket.conj()).real))
     return float(np.sum(n * np.diag(rho.matrix).real))
 
 
@@ -321,9 +325,10 @@ def husimi_q(
     roundoff and never exceed 1/pi.
 
     A rho built with DensityMatrix.from_ket is summed from its ket alone,
-    |<alpha|psi>|^2 / pi in O(points d); any other rho from its eigenvectors,
-    leaving out eigenvalues within eps of zero relative to the largest (that
-    moves Q by at most d eps / pi).
+    |<alpha|psi>|^2 / pi in O(points d), and <n> comes from the ket too, so
+    rho.matrix is never read; any other rho from its eigenvectors, leaving
+    out eigenvalues within eps of zero relative to the largest (that moves
+    Q by at most d eps / pi).
     e^{-|alpha|^2/2} is carried as a log-scale, so Q holds to roundoff up
     to NBAR_MAX on the default axes, where that factor alone underflows.
     """

@@ -53,7 +53,13 @@ from .dynamics import (
     product_state,
     protocol_time,
 )
-from .errors import ConfigInvalid, NonFiniteInput, NormViolation, QuasicatError
+from .errors import (
+    ConfigInvalid,
+    DimTooSmall,
+    NonFiniteInput,
+    NormViolation,
+    QuasicatError,
+)
 from .fock import LEAK_TOL, basis_state, coherent_dim, coherent_nbar, coherent_state
 from .modes import (
     AmplitudePair,
@@ -323,8 +329,8 @@ def run_validate(cfg: ScenarioConfig) -> RunReport:
             complex(rng.normal(), rng.normal()) * 0.5,
             complex(rng.normal(), rng.normal()) * 0.5,
         )
-        quasi = rotate_amplitudes(rot, pair, "forward")
-        back = rotate_amplitudes(rot, quasi, "inverse")
+        quasi = rotate_amplitudes(rot, pair)
+        back = rotate_amplitudes(rot, quasi)
         worst_round = max(
             worst_round,
             abs(back.first - pair.first) + abs(back.second - pair.second),
@@ -348,7 +354,7 @@ def run_validate(cfg: ScenarioConfig) -> RunReport:
     for _ in range(cfg["trials"]):
         alpha = rng.uniform(0.2, 0.6) * np.exp(2j * np.pi * rng.uniform())
         beta = rng.uniform(0.2, 0.6) * np.exp(2j * np.pi * rng.uniform())
-        quasi = rotate_amplitudes(rot, AmplitudePair(alpha, beta), "forward")
+        quasi = rotate_amplitudes(rot, AmplitudePair(alpha, beta))
         prod = np.kron(
             coherent_state(alpha, dim, cfg["leak_tol"]).amps,
             coherent_state(beta, dim, cfg["leak_tol"]).amps,
@@ -374,7 +380,7 @@ def run_validate(cfg: ScenarioConfig) -> RunReport:
     quasi_blocks, _ = _sector_blocks(
         build_hamiltonian(rot.g, 0.0, cfg["delta"], dim), sectors
     )
-    shell = total_photon_shell_indices(dim, dim, dim - 2)
+    shell = total_photon_shell_indices(dim)
     trusted = np.zeros(2 * dim * dim, dtype=bool)
     trusted[np.concatenate([2 * shell, 2 * shell + 1])] = True
     worst_diff = scale = 0.0
@@ -495,16 +501,14 @@ def run_zero_detuning(cfg: ScenarioConfig) -> RunReport:
     if any(cfg[key] is not None for key in amplitude_keys):
         alpha = complex(cfg["alpha_re"] or 0.0, cfg["alpha_im"] or 0.0)
         beta = complex(cfg["beta_re"] or 0.0, cfg["beta_im"] or 0.0)
-        quasi_pair = rotate_amplitudes(rot, AmplitudePair(alpha, beta), "forward")
+        quasi_pair = rotate_amplitudes(rot, AmplitudePair(alpha, beta))
         mu, nu = quasi_pair.first, quasi_pair.second
         nbar = coherent_nbar(mu)
     else:
         nbar = cfg["nbar"]
         mu = -1j * math.sqrt(nbar)
         nu = 0.0
-        physical = rotate_amplitudes(
-            rot, AmplitudePair(mu, nu, "quasi"), "inverse"
-        )
+        physical = rotate_amplitudes(rot, AmplitudePair(mu, nu, "quasi"))
         alpha, beta = physical.first, physical.second
     if nbar <= 0:
         raise ConfigInvalid("need a positive mean photon number")
@@ -523,7 +527,7 @@ def run_zero_detuning(cfg: ScenarioConfig) -> RunReport:
 
     conventions = (1, -1) if cfg["convention"] == 0 else (cfg["convention"],)
     cats = np.array(
-        [cat_target(mu, nbar, conv, dim1, cfg["leak_tol"]).amps for conv in conventions]
+        [cat_target(mu, conv, dim1, cfg["leak_tol"]).amps for conv in conventions]
     )
 
     # every time is propagated directly from t = 0; a norm off 1 is refused,
@@ -655,12 +659,15 @@ def run_adiabatic_sweep(cfg: ScenarioConfig) -> RunReport:
     ratios = _parse_ratios(cfg["ratios"])
     n_max = cfg["n_max"]
     dim = cfg["dim"]
+    # the sector residuals never read dim; the key only guards
+    if n_max + 8 > dim:
+        raise DimTooSmall("need dim >= n_max + 8 so the projector stays interior")
     rows = []
     residuals = []
     for ratio in ratios:
         delta = ratio * g
-        residual = adiabatic_residual(g, delta, dim, n_max)
-        ops = elimination_operator_residuals(g, delta, dim, n_max)
+        residual = adiabatic_residual(g, delta, n_max)
+        ops = elimination_operator_residuals(g, delta, n_max)
         residuals.append(residual)
         rows.append(
             (
@@ -727,11 +734,13 @@ def run_qfunc(cfg: ScenarioConfig) -> RunReport:
         nbar = cfg["nbar"]
         mu = math.sqrt(nbar)
     dim = cfg["dim"] or coherent_dim(mu, cfg["leak_tol"])
-    cat = cat_target(mu, nbar, cfg["convention"], dim, cfg["leak_tol"])
+    cat = cat_target(mu, cfg["convention"], dim, cfg["leak_tol"])
     rho = DensityMatrix.from_ket(cat.amps, "mode1")
     grid = husimi_q(rho, count=cfg["grid_points"])
     peaks = _grid_peaks(grid)
-    mid = int(np.argmin(np.abs(grid.re_axis)))
+    # the centre column for an odd grid; on an even one the first column
+    # right of the axis, fixed by the count rather than by roundoff
+    mid = grid.re_axis.size // 2
     rows = list(zip(grid.im_axis, grid.values[:, mid]))
     summary = {
         "mu": [complex(mu).real, complex(mu).imag],

@@ -37,9 +37,9 @@ from .errors import (
 from .fock import (
     LEAK_TOL,
     FockVector,
+    coherent_nbar,
     coherent_state,
     expm_antihermitian,  # noqa: F401  perfbench/spans.py patches this name
-    suggested_dim,
 )
 from .modes import (
     PHYSICAL,
@@ -127,7 +127,7 @@ def product_state(
     return SystemState(tensor, basis)
 
 
-def _check_dispersive(g_total: float, deltas, ratio_min: float = RATIO_MIN):
+def _check_dispersive(g_total: float, deltas):
     if g_total == 0.0:
         return
     for d in deltas:
@@ -138,9 +138,9 @@ def _check_dispersive(g_total: float, deltas, ratio_min: float = RATIO_MIN):
             raise DetuningTooSmall(
                 f"|delta|/g = {ratio:.2f} < {RATIO_HARD_FLOOR}; effective model invalid"
             )
-        if ratio < ratio_min:
+        if ratio < RATIO_MIN:
             warnings.warn(
-                f"|delta|/g = {ratio:.2f} below {ratio_min}; effective model marginal",
+                f"|delta|/g = {ratio:.2f} below {RATIO_MIN}; effective model marginal",
                 DetuningRatioWarning,
                 stacklevel=3,
             )
@@ -304,7 +304,6 @@ def protocol_time(nbar: float, g: float) -> float:
 def large_amplitude_state(
     t: float,
     mu: complex,
-    nbar: float,
     gamma: complex,
     delta_amp: complex,
     g: float,
@@ -314,21 +313,21 @@ def large_amplitude_state(
     """Closed-form large-amplitude approximation to the resonant evolution.
 
     The initial state is |mu> on quasi mode I times the atom
-    gamma |lower> + delta_amp |upper|>. The square roots of the excitation
-    ladder are expanded around nbar = |mu|^2, which splits the state into
-    two counter-rotating coherent branches mu e^{-+ i g t / (2 sqrt(nbar))}
-    with branch phases e^{-+ i g t sqrt(nbar)/2}; at half the revival
-    timescale the branches are +-i mu and the atom factors out. Accuracy
-    improves with nbar. General (gamma, delta_amp) follows by linearity.
+    gamma |lower> + delta_amp |upper|>, mu != 0. The square roots of the
+    excitation ladder are expanded around nbar = |mu|^2, which splits the
+    state into two counter-rotating coherent branches
+    mu e^{-+ i g t / (2 sqrt(nbar))} with branch phases
+    e^{-+ i g t sqrt(nbar)/2}; at half the revival timescale the branches
+    are +-i mu and the atom factors out. Accuracy improves with nbar.
+    General (gamma, delta_amp) follows by linearity.
     Quasi mode II, which never couples, is a size-1 vacuum slot.
     """
     mu = complex(mu)
     if abs(abs(gamma) ** 2 + abs(delta_amp) ** 2 - 1.0) > 1e-10:
         raise NormViolation("|gamma|^2 + |delta_amp|^2 must be 1")
-    if nbar <= 0.0:
-        raise NonPositiveInput("large-amplitude form needs nbar > 0")
-    if abs(nbar - abs(mu) ** 2) > 1e-8 * max(1.0, nbar):
-        raise ParameterOutOfRange("nbar must equal |mu|^2")
+    nbar = coherent_nbar(mu)
+    if nbar == 0.0:
+        raise NonPositiveInput("large-amplitude form needs |mu|^2 > 0")
     phi = -np.angle(mu)
     branch_phase = 0.5 * g * t * math.sqrt(nbar)
     chirp = 0.5 * g * t / math.sqrt(nbar)
@@ -350,15 +349,12 @@ def large_amplitude_state(
 
 
 def cat_target(
-    mu: complex,
-    nbar: float,
-    convention: int = 1,
-    dim: Optional[int] = None,
-    leak_tol: float = LEAK_TOL,
+    mu: complex, convention: int, dim: int, leak_tol: float = LEAK_TOL
 ) -> FockVector:
     """Target single-mode cat reached at half the revival timescale:
-    proportional to e^{i pi nbar/2} |i mu> - convention e^{-i pi nbar/2} |-i mu>,
-    the branch phases large_amplitude_state gives at protocol_time.
+    proportional to e^{i pi nbar/2} |i mu> - convention e^{-i pi nbar/2} |-i mu>
+    with nbar = |mu|^2, the branch phases large_amplitude_state gives at
+    protocol_time.
 
     The normalization keeps the branch overlap (no orthogonality assumption).
     convention in {+1, -1} selects the relative branch sign, which is the
@@ -367,10 +363,7 @@ def cat_target(
     mu = complex(mu)
     if convention not in (1, -1):
         raise ParameterOutOfRange("convention must be +1 or -1")
-    if abs(nbar - abs(mu) ** 2) > 1e-8 * max(1.0, nbar):
-        raise ParameterOutOfRange("nbar must equal |mu|^2")
-    if dim is None:
-        dim = suggested_dim(mu) + 2
+    nbar = coherent_nbar(mu)
     plus_branch = coherent_state(1j * mu, dim, leak_tol).amps
     minus_branch = coherent_state(-1j * mu, dim, leak_tol).amps
     return FockVector(_cat(plus_branch, minus_branch, nbar, convention), dim)
@@ -394,7 +387,6 @@ def two_mode_cat_target(
     alpha: complex,
     beta: complex,
     rot: ModeRotation,
-    nbar: float,
     dim1: int,
     dim2: int,
     convention: int = 1,
@@ -404,15 +396,14 @@ def two_mode_cat_target(
     expressed on modes 1 and 2.
 
     The two branches are coherent products whose amplitudes come from
-    phasing the quasi-mode-I amplitude by +i and -i and rotating back.
-    Equals the mode rotation unitary applied to cat x |nu> up to truncation.
+    phasing the quasi-mode-I amplitude by +i and -i and rotating back; nbar
+    in the branch phases is |mu|^2 of that rotated amplitude. Equals the
+    mode rotation unitary applied to cat x |nu> up to truncation.
     """
     pair = AmplitudePair(alpha, beta, PHYSICAL)
-    quasi = rotate_amplitudes(rot, pair, "forward")
-    if abs(nbar - abs(quasi.first) ** 2) > 1e-8 * max(1.0, nbar):
-        raise ParameterOutOfRange("nbar must equal |mu|^2 of the rotated amplitude")
     if convention not in (1, -1):
         raise ParameterOutOfRange("convention must be +1 or -1")
+    nbar = coherent_nbar(rotate_amplitudes(rot, pair).first)
     fields = []
     for phase in (1j, -1j):
         branch = quasi_phase_amplitudes(rot, phase, pair)
@@ -423,7 +414,7 @@ def two_mode_cat_target(
 
 
 def evolve_effective(
-    state: SystemState, t: float, g: float, delta: float, ratio_min: float = RATIO_MIN
+    state: SystemState, t: float, g: float, delta: float
 ) -> SystemState:
     """Dispersive-regime evolution, diagonal in the quasi-I photon number.
 
@@ -436,7 +427,7 @@ def evolve_effective(
         raise BasisMismatch("evolve_effective expects a quasi-basis state")
     if state.tensor.shape[2] != 2:
         raise DimensionMismatch("state needs an atom axis of size 2")
-    _check_dispersive(abs(g), (delta,), ratio_min)
+    _check_dispersive(abs(g), (delta,))
     return SystemState(_effective_propagate(state.tensor, g, delta, t), QUASI)
 
 
@@ -495,13 +486,11 @@ def _largest_norm(op, approx, left, right, rows, cols) -> float:
     return float(np.max(0.5 * np.hypot(a + d, c - b) + 0.5 * np.hypot(a - d, b + c)))
 
 
-def _elimination_sectors(g: float, delta: float, dim: int, n_max: int):
+def _elimination_sectors(g: float, delta: float, n_max: int):
     """Sectors k = 0..n_max + 1 of the elimination, each (k, lower) and
     (k - 1, upper). S = lambda (a sigma+ - a+ sigma-) keeps them, so e^S is a
     rotation by lambda sqrt(k) in each (Boissonneault, Gambetta & Blais,
-    PRA 79, 013819); keep marks the levels with n <= n_max. dim only guards."""
-    if n_max + 8 > dim:
-        raise DimTooSmall("need dim >= n_max + 8 so the projector stays interior")
+    PRA 79, 013819); keep marks the levels with n <= n_max."""
     coupling_square(g)
     _check_dispersive(abs(g), (delta,))
     k = np.arange(n_max + 2, dtype=np.float64)
@@ -516,7 +505,7 @@ def dispersive_norm(g: float, delta: float, n_max: int) -> float:
     return 0.5 * abs(delta) + (n_max + 1) * g * g / abs(delta)
 
 
-def adiabatic_residual(g: float, delta: float, dim: int, n_max: int) -> float:
+def adiabatic_residual(g: float, delta: float, n_max: int) -> float:
     """Spectral-norm residual of the adiabatic elimination on photon numbers
     <= n_max: || P (e^S H e^-S - H_dispersive) P || with
     S = (g/delta)(a sigma+ - a+ sigma-) and
@@ -524,19 +513,19 @@ def adiabatic_residual(g: float, delta: float, dim: int, n_max: int) -> float:
 
     Scales as O(g^3/delta^2): doubling delta at fixed g cuts it ~4x.
     """
-    k, lam, rot, keep = _elimination_sectors(g, delta, dim, n_max)
+    k, lam, rot, keep = _elimination_sectors(g, delta, n_max)
     coupling, level = g * np.sqrt(k), 0.5 * delta + g * g / delta * k
     ham = _blocks(k.size, -0.5 * delta, coupling, coupling, 0.5 * delta)
     dispersive = _blocks(k.size, -level, 0, 0, level)
     return _largest_norm(ham, dispersive, rot, rot, keep, keep)
 
 
-def elimination_operator_residuals(g: float, delta: float, dim: int, n_max: int):
+def elimination_operator_residuals(g: float, delta: float, n_max: int):
     """Residuals of the transformed-operator expansions on the projected
     block, keyed by operator. "mode" and "lowering" are accurate through
     first order in lambda = g/delta (residual O(lambda^2)); "inversion"
     through second order (residual O(lambda^3))."""
-    k, lam, rot, keep = _elimination_sectors(g, delta, dim, n_max)
+    k, lam, rot, keep = _elimination_sectors(g, delta, n_max)
     root, size = np.sqrt(k), k.size - 1
     # a, sigma- and a sigma_z map sector k to k - 1; sigma_z, a+ sigma- + a sigma+
     # and n sigma_z + sigma+ sigma- = k sigma_z keep it

@@ -85,34 +85,26 @@ def rotation_params(g1: float, g2: float) -> ModeRotation:
     return ModeRotation(math.atan2(g2, g1), math.sqrt(gsq), g1, g2)
 
 
-def rotate_amplitudes(
-    rot: ModeRotation, pair: AmplitudePair, direction: str = "forward"
-) -> AmplitudePair:
-    """Map coherent amplitudes between physical and quasi bases.
+def rotate_amplitudes(rot: ModeRotation, pair: AmplitudePair) -> AmplitudePair:
+    """Map coherent amplitudes to the other basis of the pair's tag.
 
-    forward: (alpha, beta) -> (mu, nu) = (c a + s b, -s a + c b).
-    inverse applies the transpose. |first|^2 + |second|^2 is preserved
-    exactly (the rotation is orthogonal).
+    physical -> quasi: (alpha, beta) -> (mu, nu) = (c a + s b, -s a + c b);
+    quasi -> physical applies the transpose. |first|^2 + |second|^2 is
+    preserved exactly (the rotation is orthogonal).
     """
     c = math.cos(rot.theta)
     s = math.sin(rot.theta)
-    if direction == "forward":
-        if pair.basis != PHYSICAL:
-            raise BasisMismatch("forward rotation expects physical amplitudes")
+    if pair.basis == PHYSICAL:
         return AmplitudePair(
             c * pair.first + s * pair.second,
             -s * pair.first + c * pair.second,
             QUASI,
         )
-    if direction == "inverse":
-        if pair.basis != QUASI:
-            raise BasisMismatch("inverse rotation expects quasi amplitudes")
-        return AmplitudePair(
-            c * pair.first - s * pair.second,
-            s * pair.first + c * pair.second,
-            PHYSICAL,
-        )
-    raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
+    return AmplitudePair(
+        c * pair.first - s * pair.second,
+        s * pair.first + c * pair.second,
+        PHYSICAL,
+    )
 
 
 def _expm_hopping(hop: np.ndarray, c: complex) -> ComplexMatrix:
@@ -148,8 +140,9 @@ def mode_rotation_unitary(rot: ModeRotation, dim1: int, dim2: int) -> ComplexMat
 
     Sign convention (fixed once against a small-dim oracle):
     R+ a R = cos(theta) a + sin(theta) b, and R|alpha, beta> is the coherent
-    product with forward-rotated amplitudes. The mixer conserves n1 + n2, so
-    R is assembled from one beam-splitter block per total-photon shell.
+    product with the quasi amplitudes rotate_amplitudes gives. The mixer
+    conserves n1 + n2, so R is assembled from one beam-splitter block per
+    total-photon shell.
     """
     if dim1 < 2 or dim2 < 2:
         raise DimTooSmall("mode_rotation_unitary needs dims >= 2")
@@ -184,28 +177,31 @@ def quasi_phase_amplitudes(
     """Rotate to the quasi basis, phase the mode-I amplitude, rotate back.
 
     This is how a number-conditioned phase on quasi mode I shows up on the
-    physical coherent amplitudes. phase_on_mode_i must sit on the unit
-    circle.
+    physical coherent amplitudes. pair must be physical, and
+    phase_on_mode_i must sit on the unit circle.
     """
+    if pair.basis != PHYSICAL:
+        raise BasisMismatch("quasi_phase_amplitudes expects physical amplitudes")
     phase_on_mode_i = complex(phase_on_mode_i)
     if abs(abs(phase_on_mode_i) - 1.0) > 1e-12:
         raise NonUnitPhase(f"|phase| = {abs(phase_on_mode_i)!r} is not 1")
-    quasi = rotate_amplitudes(rot, pair, "forward")
+    quasi = rotate_amplitudes(rot, pair)
     shifted = AmplitudePair(phase_on_mode_i * quasi.first, quasi.second, QUASI)
-    return rotate_amplitudes(rot, shifted, "inverse")
+    return rotate_amplitudes(rot, shifted)
 
 
-def total_photon_shell_indices(dim1: int, dim2: int, cap: int) -> np.ndarray:
-    """Flat indices of the two-mode basis states with n1 + n2 <= cap.
+def total_photon_shell_indices(dim: int) -> np.ndarray:
+    """Flat indices of the (dim x dim) two-mode basis states with
+    n1 + n2 <= dim - 2.
 
-    Complete total-photon shells form the trusted block for two-mode
-    operator identities: the rotation preserves total photon number, so a
-    state supported there cannot have been contaminated by the truncation
-    edge under any of the operators compared.
+    These shells form the trusted block for two-mode operator identities:
+    the rotation preserves total photon number, and one raising step from
+    them lands on n1 + n2 <= dim - 1, the last complete shell, so a state
+    supported there cannot have been contaminated by the truncation edge
+    under any of the operators compared.
     """
-    n1 = np.arange(dim1)[:, None]
-    n2 = np.arange(dim2)[None, :]
-    return np.flatnonzero((n1 + n2 <= cap).ravel())
+    n = np.arange(dim)
+    return np.flatnonzero((n[:, None] + n[None, :] <= dim - 2).ravel())
 
 
 def squeeze_identity_residual(
@@ -214,32 +210,27 @@ def squeeze_identity_residual(
     z2: complex,
     dim: int,
     input_cap: int = 8,
-    row_cap: int = None,
 ) -> float:
     """Residual of the squeeze composition law on the trusted block.
 
     Applies S_1(z1) S_2(z2) and exp(p* A B - p A+ B+) S_I(q) S_II(q) to the
     complete-shell basis columns with n1 + n2 <= input_cap and returns the
-    2-norm of the difference restricted to rows with n1 + n2 <= row_cap
-    (default: input_cap). With A = R+ a R and B = R+ b R the right side is
-    R+ TMS(p) (S(q) x S(q)) R, where TMS(p) = exp(p* a b - p a+ b+) conserves
-    n1 - n2. R and R+ act shell by shell, and only the shells up to the caps
-    are needed.
+    2-norm of the difference restricted to rows on the same shells. With
+    A = R+ a R and B = R+ b R the right side is R+ TMS(p) (S(q) x S(q)) R,
+    where TMS(p) = exp(p* a b - p a+ b+) conserves n1 - n2. R and R+ act
+    shell by shell, and only the shells up to input_cap are needed.
     """
-    if row_cap is None:
-        row_cap = input_cap
     p, q = squeeze_composition(rot, z1, z2)
     a = ladder_matrix(dim)
 
     def squeeze(z):
         return expm_antihermitian(0.5 * (np.conj(z) * (a @ a) - z * (a.T @ a.T)))
 
-    top = min(max(input_cap, row_cap), 2 * dim - 2)
+    top = min(input_cap, 2 * dim - 2)
     shells = [_shell_rotation(rot.theta, dim, dim, n) for n in range(top + 1)]
-    probe = shells[: input_cap + 1]
     # one row per probe column (n1 + n2 <= input_cap), over the flat two-mode
     # basis; the 2-norm does not depend on the order of rows or columns
-    m1, m2 = np.divmod(np.concatenate([idx for idx, _ in probe]), dim)
+    m1, m2 = np.divmod(np.concatenate([idx for idx, _ in shells]), dim)
 
     # S_1(z1) S_2(z2) |m1, m2> = S_1[:, m1] x S_2[:, m2]
     left = squeeze(z1)[:, m1].T[:, :, None] * squeeze(z2)[:, m2].T[:, None, :]
@@ -247,7 +238,7 @@ def squeeze_identity_residual(
 
     right = np.zeros((m1.size, dim * dim), dtype=np.complex128)
     start = 0
-    for idx, block in probe:
+    for idx, block in shells:
         right[start : start + idx.size, idx] = block.T
         start += idx.size
     s_q = squeeze(q)
@@ -262,9 +253,8 @@ def squeeze_identity_residual(
             flat = n1 * dim + n2
             right[:, flat] = right[:, flat] @ gate.T
 
-    rows = shells[: row_cap + 1]
     resid = np.concatenate(
-        [left[:, idx] - right[:, idx] @ block.conj() for idx, block in rows], axis=1
+        [left[:, idx] - right[:, idx] @ block.conj() for idx, block in shells], axis=1
     )
     return float(np.linalg.norm(resid, 2))
 

@@ -101,7 +101,7 @@ def test_coherent_factorization_grid():
         rotation = mode_rotation_unitary(rot, dim, dim)
         for alpha in amplitudes:
             for beta in amplitudes:
-                quasi = rotate_amplitudes(rot, AmplitudePair(alpha, beta), "forward")
+                quasi = rotate_amplitudes(rot, AmplitudePair(alpha, beta))
                 lhs = rotation @ np.kron(
                     coherent_state(alpha, dim).amps, coherent_state(beta, dim).amps
                 )
@@ -141,10 +141,10 @@ def _evolved_at_half_revival(nbar, dim, atom_amps):
     return evolve_exact_jc(state, protocol_time(nbar, g), g, 0.0), mu
 
 
-def _best_cat_fidelity(state, mu, nbar, dim):
+def _best_cat_fidelity(state, mu, dim):
     best = 0.0
     for convention in (1, -1):
-        cat = cat_target(mu, nbar, convention, dim).amps
+        cat = cat_target(mu, convention, dim).amps
         proj = np.einsum("i,ijs->js", np.conj(cat), state.tensor)
         best = max(best, float(np.sum(np.abs(proj) ** 2)))
     return best
@@ -159,7 +159,7 @@ def test_resonant_cat_generation():
     for nbar, dim, purity_floor, fidelity_floor in cases:
         out, mu = _evolved_at_half_revival(nbar, dim, (1.0, 0.0))
         pur = purity(partial_trace(out, "atom"))
-        fid = _best_cat_fidelity(out, mu, nbar, dim)
+        fid = _best_cat_fidelity(out, mu, dim)
         assert pur >= purity_floor
         assert fid >= fidelity_floor
         purities.append(pur)
@@ -185,7 +185,7 @@ def test_cat_fidelity_is_smooth_in_nbar(nbar):
     for step in (0.0, 0.25, 0.5, 0.75):
         dim = coherent_dim(math.sqrt(nbar + step))
         out, mu = _evolved_at_half_revival(nbar + step, dim, (1.0, 0.0))
-        fidelities.append(_best_cat_fidelity(out, mu, nbar + step, dim))
+        fidelities.append(_best_cat_fidelity(out, mu, dim))
     assert max(fidelities) - min(fidelities) < 0.01
 
 
@@ -245,14 +245,14 @@ def test_dispersive_protocol():
 
 
 def test_elimination_residual_scaling():
-    g, dim, n_max = 1.0, 40, 10
+    g, n_max = 1.0, 10
     residuals = {
-        delta: adiabatic_residual(g, delta, dim, n_max) for delta in (50.0, 100.0, 200.0)
+        delta: adiabatic_residual(g, delta, n_max) for delta in (50.0, 100.0, 200.0)
     }
     assert residuals[50.0] / residuals[100.0] == pytest.approx(4.0, rel=0.25)
     assert residuals[100.0] / residuals[200.0] == pytest.approx(4.0, rel=0.25)
-    ops_50 = elimination_operator_residuals(g, 50.0, dim, n_max)
-    ops_100 = elimination_operator_residuals(g, 100.0, dim, n_max)
+    ops_50 = elimination_operator_residuals(g, 50.0, n_max)
+    ops_100 = elimination_operator_residuals(g, 100.0, n_max)
     # first-order transforms leave quadratic remainders; the inversion
     # transform is second order and its remainder shrinks cubically
     assert 3.0 <= ops_50["mode"] / ops_100["mode"] <= 5.0
@@ -307,7 +307,7 @@ def test_false_hamiltonian_comparison():
     rot = rotation_params(math.cos(params.eta), math.sin(params.eta))
     r = np.kron(mode_rotation_unitary(rot, dim, dim), np.eye(2))
     h_diag = dense_hamiltonian(HamiltonianSpec.decoupled(g1, g2, d1, d2), dim, dim)
-    shell = total_photon_shell_indices(dim, dim, dim - 2)
+    shell = total_photon_shell_indices(dim)
     cols = np.concatenate([2 * shell, 2 * shell + 1])
     off = (r @ h_correct @ r.conj().T - h_diag)[:, cols]
     assert np.linalg.norm(off, 2) < 1e-9

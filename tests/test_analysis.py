@@ -263,7 +263,7 @@ def test_two_mode_cat_entanglement_is_one_bit():
     rot = rotation_params(1.0, 1.0)
     nbar = 16.0
     alpha = 1j * math.sqrt(nbar / 2.0)
-    st = two_mode_cat_target(alpha, alpha, rot, nbar, 40, 40, convention=1)
+    st = two_mode_cat_target(alpha, alpha, rot, 40, 40, convention=1)
     assert entropy(partial_trace(st, "mode1")) == pytest.approx(
         math.log(2.0), abs=1e-6
     )
@@ -297,7 +297,7 @@ def test_husimi_coherent_peak_location():
 
 
 def test_husimi_cat_shows_both_lobes():
-    cat = cat_target(3.0, 9.0, 1, dim=40)
+    cat = cat_target(3.0, 1, dim=40)
     rho = _pure_dm(cat.amps, (40,))
     grid = husimi_q(rho)
     for sel, sign in ((grid.im_axis > 0, 1.0), (grid.im_axis < 0, -1.0)):
@@ -309,8 +309,21 @@ def test_husimi_cat_shows_both_lobes():
     assert grid.values.max() <= 1.0 / math.pi + 1e-12
 
 
+def test_husimi_of_a_ket_never_reads_the_matrix():
+    # from_ket's rho is summed from the ket, and <n> for the default axes
+    # comes from it too, so the grid is the same without rho.matrix
+    rho = DensityMatrix.from_ket(cat_target(2.5 - 1.5j, 1, 40).amps)
+    limit = 1.5 * (math.sqrt(mean_photon(rho)) + 2.0)
+    expected = husimi_q(rho, count=31)
+    np.testing.assert_array_equal(expected.re_axis, np.linspace(-limit, limit, 31))
+    del rho.matrix
+    grid = husimi_q(rho, count=31)
+    np.testing.assert_array_equal(grid.re_axis, expected.re_axis)
+    np.testing.assert_array_equal(grid.values, expected.values)
+
+
 def test_husimi_grid_guards():
-    cat = cat_target(2.0, 4.0, 1, dim=30)
+    cat = cat_target(2.0, 1, dim=30)
     rho = _pure_dm(cat.amps, (30,))
     with pytest.raises(GridTooSmall):
         husimi_q(rho, np.linspace(-2.0, 2.0, 41), np.linspace(-2.0, 2.0, 41))
@@ -399,7 +412,7 @@ def test_husimi_matches_dense_reference(case):
 )
 def test_husimi_cat_matches_closed_form(nbar, convention, offsets):
     mu = math.sqrt(nbar)
-    cat = cat_target(mu, nbar, convention, coherent_dim(mu), LEAK_TOL)
+    cat = cat_target(mu, convention, coherent_dim(mu), LEAK_TOL)
     limit = 1.5 * (mu + 2.0)
     # both lobes sit at +-i mu on the imaginary axis
     re_axis = np.array([-limit, 0.0, *offsets, limit])

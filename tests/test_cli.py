@@ -100,7 +100,7 @@ def _dense_hamiltonian_checks(ham_int, g1, g2, delta, dim):
     rot = rotation_params(g1, g2)
     ham_quasi = dense_hamiltonian(HamiltonianSpec.quasi_jc(rot.g, delta), dim, dim)
     rotation_full = np.kron(mode_rotation_unitary(rot, dim, dim), np.eye(2))
-    shell = total_photon_shell_indices(dim, dim, dim - 2)
+    shell = total_photon_shell_indices(dim)
     cols = np.concatenate([2 * shell, 2 * shell + 1])
     conjugated = rotation_full @ ham_int @ rotation_full.conj().T
     rotation_residual = np.linalg.norm(
@@ -216,6 +216,17 @@ def test_adiabatic_sweep_outputs(tmp_path):
     assert s["shrink_factors"][0] == pytest.approx(4.0, rel=0.25)
 
 
+def test_adiabatic_sweep_dim_guard(tmp_path, capsys):
+    # the sector residuals never read dim; the sweep still refuses a dim
+    # without room above n_max
+    out = str(tmp_path / "a")
+    assert main(["adiabatic-sweep", "--out", out, "--dim", "15", "--n-max", "10"]) == 3
+    err = capsys.readouterr().err
+    assert "DimTooSmall" in err and "dim >= n_max + 8" in err
+    assert not os.path.exists(os.path.join(out, "summary.json"))
+    assert main(["adiabatic-sweep", "--out", out, "--dim", "18", "--n-max", "10"]) == 0
+
+
 def test_qfunc_outputs(tmp_path):
     out = str(tmp_path / "q")
     assert main(["qfunc", "--out", out, "--nbar", "4", "--grid-points", "41"]) == 0
@@ -245,6 +256,26 @@ def test_qfunc_past_vacuum_underflow_matches_closed_form(tmp_path):
     assert values.max() > 0.1
     bound = oracles.cat_husimi_bound(1400.0, 1, LEAK_TOL)
     assert np.abs(values - exact).max() <= bound
+
+
+@pytest.mark.parametrize("points", [40, 41])
+def test_qfunc_cut_is_the_middle_column(tmp_path, points):
+    # off the real axis Q is not symmetric in re, so the two columns beside
+    # the imaginary axis of an even grid differ; the cut is column
+    # points // 2 whatever the last bit of the axes, so a 1-ulp change of
+    # mu_re (which moved it from column 19 to 20 at 40 points) moves it by
+    # roundoff only
+    cuts = []
+    for mu_re in (2.0, math.nextafter(2.0, math.inf)):
+        out = str(tmp_path / repr(mu_re))
+        argv = ["--mu-re", repr(mu_re), "--mu-im", "-1.5", "--grid-points", str(points)]
+        assert main(["qfunc", "--out", out, *argv]) == 0
+        rows = [line.split(",") for line in _read_rows(out, "qgrid.csv")[1:]]
+        column = np.array([row[1 + points // 2] for row in rows], dtype=float)
+        cut = np.array([row.split(",")[1] for row in _read_rows(out)[1:]], dtype=float)
+        np.testing.assert_array_equal(cut, column)
+        cuts.append(cut)
+    assert np.abs(cuts[0] - cuts[1]).max() <= 1e-13
 
 
 def test_missing_config_file_is_config_error(tmp_path, capsys):
@@ -574,9 +605,7 @@ def test_beta_alone_takes_the_off_axis_path(tmp_path):
     mu, nu = (complex(*summary[key]) for key in ("mu", "nu"))
     assert abs(nu) > 0.1
     assert summary["nbar"] == pytest.approx(abs(mu) ** 2, rel=1e-12)
-    back = rotate_amplitudes(
-        rotation_params(1.0, 0.5), AmplitudePair(mu, nu, "quasi"), "inverse"
-    )
+    back = rotate_amplitudes(rotation_params(1.0, 0.5), AmplitudePair(mu, nu, "quasi"))
     assert abs(back.first) <= 1e-12
     assert abs(back.second - (1.5 - 0.5j)) <= 1e-12
 

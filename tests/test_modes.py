@@ -64,7 +64,7 @@ def test_rotation_params_rejects_overflowing_coupling(g1, g2):
 def test_rotate_amplitudes_symmetric_concentrates():
     rot = rotation_params(1.0, 1.0)
     alpha = 0.8 - 0.3j
-    quasi = rotate_amplitudes(rot, AmplitudePair(alpha, alpha), "forward")
+    quasi = rotate_amplitudes(rot, AmplitudePair(alpha, alpha))
     assert quasi.first == pytest.approx(math.sqrt(2) * alpha)
     assert abs(quasi.second) < 1e-15
     assert quasi.basis == "quasi"
@@ -74,7 +74,7 @@ def test_rotate_amplitudes_worked_case():
     nbar = 25.0
     rot = rotation_params(1.0, 1.0)
     amp = -1j * math.sqrt(nbar)
-    quasi = rotate_amplitudes(rot, AmplitudePair(amp, amp), "forward")
+    quasi = rotate_amplitudes(rot, AmplitudePair(amp, amp))
     assert quasi.first == pytest.approx(-1j * math.sqrt(2 * nbar))
     assert abs(quasi.second) < 1e-14
 
@@ -82,7 +82,7 @@ def test_rotate_amplitudes_worked_case():
 def test_rotate_amplitudes_theta_zero_identity():
     rot = rotation_params(1.0, 0.0)
     pair = AmplitudePair(0.2 + 0.1j, -0.4j)
-    quasi = rotate_amplitudes(rot, pair, "forward")
+    quasi = rotate_amplitudes(rot, pair)
     assert quasi.first == pair.first and quasi.second == pair.second
 
 
@@ -93,8 +93,8 @@ def test_rotate_amplitudes_round_trip_and_norm():
         pair = AmplitudePair(
             complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal())
         )
-        quasi = rotate_amplitudes(rot, pair, "forward")
-        back = rotate_amplitudes(rot, quasi, "inverse")
+        quasi = rotate_amplitudes(rot, pair)
+        back = rotate_amplitudes(rot, quasi)
         assert abs(back.first - pair.first) < 1e-14
         assert abs(back.second - pair.second) < 1e-14
         assert abs(quasi.first) ** 2 + abs(quasi.second) ** 2 == pytest.approx(
@@ -103,13 +103,41 @@ def test_rotate_amplitudes_round_trip_and_norm():
 
 
 def test_rotate_amplitudes_enforces_basis_tags():
-    rot = rotation_params(1.0, 1.0)
-    with pytest.raises(BasisMismatch):
-        rotate_amplitudes(rot, AmplitudePair(1.0, 0.0, "quasi"), "forward")
-    with pytest.raises(BasisMismatch):
-        rotate_amplitudes(rot, AmplitudePair(1.0, 0.0, "physical"), "inverse")
     with pytest.raises(BasisMismatch):
         AmplitudePair(1.0, 0.0, "lab")
+
+
+amplitudes = st.complex_numbers(
+    max_magnitude=1e6, allow_nan=False, allow_infinity=False
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    theta=st.floats(-math.pi, math.pi),
+    first=amplitudes,
+    second=amplitudes,
+    basis=st.sampled_from(["physical", "quasi"]),
+)
+def test_rotate_amplitudes_follows_the_tag(theta, first, second, basis):
+    # the pair's tag fixes the direction: each call lands in the other basis,
+    # keeps |first|^2 + |second|^2, and a second call returns the pair
+    rot = rotation_params(math.cos(theta), math.sin(theta))
+    pair = AmplitudePair(first, second, basis)
+    once = rotate_amplitudes(rot, pair)
+    twice = rotate_amplitudes(rot, once)
+    assert once.basis == ("quasi" if basis == "physical" else "physical")
+    assert twice.basis == basis
+    # relative bounds, with the smallest normal float as a floor for the
+    # subnormal values tiny amplitudes (and their squares) round to
+    tiny = sys.float_info.min
+    norm_sq = abs(pair.first) ** 2 + abs(pair.second) ** 2
+    assert abs(abs(once.first) ** 2 + abs(once.second) ** 2 - norm_sq) <= (
+        1e-14 * norm_sq + tiny
+    )
+    scale = 1e-14 * max(abs(pair.first), abs(pair.second)) + tiny
+    assert abs(twice.first - pair.first) <= scale
+    assert abs(twice.second - pair.second) <= scale
 
 
 def test_mode_rotation_unitary_theta_zero():
@@ -128,7 +156,7 @@ def test_mode_rotation_unitary_coherent_factorization():
     dim = 40
     r = mode_rotation_unitary(rot, dim, dim)
     alpha, beta = 1.1 - 0.5j, -0.7 + 0.9j
-    quasi = rotate_amplitudes(rot, AmplitudePair(alpha, beta), "forward")
+    quasi = rotate_amplitudes(rot, AmplitudePair(alpha, beta))
     prod = np.kron(coherent_state(alpha, dim).amps, coherent_state(beta, dim).amps)
     target = np.kron(
         coherent_state(quasi.first, dim).amps, coherent_state(quasi.second, dim).amps
@@ -143,7 +171,7 @@ def test_mode_rotation_conjugates_ladder():
     a = np.kron(ladder_matrix(dim), np.eye(dim))
     b = np.kron(np.eye(dim), ladder_matrix(dim))
     expected = math.cos(rot.theta) * a + math.sin(rot.theta) * b
-    cols = total_photon_shell_indices(dim, dim, dim - 2)
+    cols = total_photon_shell_indices(dim)
     diff = (r.conj().T @ a @ r - expected)[:, cols]
     assert np.linalg.norm(diff, 2) < 1e-8
 
@@ -155,7 +183,7 @@ def test_mode_rotation_preserves_total_photon():
     a = np.kron(ladder_matrix(dim), np.eye(dim))
     b = np.kron(np.eye(dim), ladder_matrix(dim))
     total = a.conj().T @ a + b.conj().T @ b
-    cols = total_photon_shell_indices(dim, dim, dim - 2)
+    cols = total_photon_shell_indices(dim)
     diff = (r.conj().T @ total @ r - total)[:, cols]
     assert np.linalg.norm(diff, 2) < 1e-9
 
@@ -283,6 +311,12 @@ def test_quasi_phase_rejects_nonunit():
     rot = rotation_params(1.0, 1.0)
     with pytest.raises(NonUnitPhase):
         quasi_phase_amplitudes(rot, 0.5, AmplitudePair(1.0, 0.0))
+
+
+def test_quasi_phase_rejects_quasi_pair():
+    rot = rotation_params(1.0, 1.0)
+    with pytest.raises(BasisMismatch, match="physical"):
+        quasi_phase_amplitudes(rot, 1j, AmplitudePair(1.0, 0.0, "quasi"))
 
 
 def test_decouple_params_single_coupling():
