@@ -193,7 +193,7 @@ class RunReport:
     scenario: str
     summary: dict
     timeseries_header: str
-    timeseries_rows: list
+    timeseries_rows: np.ndarray  # 2-D, one column per header field
     qgrid: Optional[PhaseSpaceGrid] = None
     config: dict = field(default_factory=dict)
     seed: int = 0
@@ -486,7 +486,7 @@ def run_validate(cfg: ScenarioConfig) -> RunReport:
         "all_passed": all(value < VALIDATE_TOL for value in checks.values()),
         "dim": dim,
     }
-    rows = [(float(i), float(v)) for i, v in enumerate(checks.values())]
+    rows = np.column_stack((np.arange(len(checks)), list(checks.values())))
     return RunReport(
         "validate",
         summary,
@@ -532,14 +532,16 @@ def run_zero_detuning(cfg: ScenarioConfig) -> RunReport:
 
     # every time is propagated directly from t = 0; a norm off 1 is refused,
     # not renormalized, and the largest deviation is reported
-    rows = []
+    blocks = []
     worst_norm = 0.0
     for chunk in _time_chunks(times, dim1):
         stack = _jc_propagate(state.tensor, rot.g, 0.0, chunk)
         worst_norm = max(worst_norm, norm_deviation(stack))
         inversion, purity = atomic_inversion(stack), atom_purity(stack)
         fid = mode_overlaps(stack, cats).max(axis=-1)
-        rows += zip(chunk, inversion, purity, fid, mode_mean_photon(stack))
+        blocks.append(
+            np.column_stack((chunk, inversion, purity, fid, mode_mean_photon(stack)))
+        )
 
     star_state = evolve_exact_jc(state, t_star, rot.g, 0.0)
     fid_by_conv = dict(zip(conventions, mode_overlaps(star_state, cats).tolist()))
@@ -566,7 +568,7 @@ def run_zero_detuning(cfg: ScenarioConfig) -> RunReport:
         "zero-detuning",
         summary,
         "t,atomic_inversion,atomic_purity,cat_fidelity,mean_photon_mode_i",
-        rows,
+        np.concatenate(blocks),
     )
 
 
@@ -601,14 +603,17 @@ def run_large_detuning(cfg: ScenarioConfig) -> RunReport:
     effective_state = evolve_effective(init, t_prime, g, delta)
     oracle_state = evolve_exact_jc(init, t_prime, g, delta)
     times = np.linspace(0.0, t_prime, cfg["t_steps"])
-    rows = []
+    blocks = []
     worst_norm = 0.0
     for chunk in _time_chunks(times, dim1):
         oracle = _jc_propagate(init.tensor, g, delta, chunk)
         effective = _effective_propagate(init.tensor, g, delta, chunk)
         worst_norm = max(worst_norm, norm_deviation(oracle), norm_deviation(effective))
         overlap = np.sum(np.conj(oracle) * effective, axis=(-3, -2, -1))
-        rows += zip(chunk, np.abs(overlap) ** 2, atomic_inversion(oracle))
+        blocks.append(
+            np.column_stack((chunk, np.abs(overlap) ** 2, atomic_inversion(oracle)))
+        )
+    rows = np.concatenate(blocks)
 
     # branch analysis on the dispersive prediction: the protocol's two
     # entangled-coherent outputs live there; the oracle enters through the
@@ -630,7 +635,7 @@ def run_large_detuning(cfg: ScenarioConfig) -> RunReport:
         "oracle_prob_plus": oracle_plus.probability,
         "oracle_prob_minus": oracle_minus.probability,
         "branch_overlap": math.exp(-2.0 * nbar),
-        "effective_fidelity_at_t_prime": rows[-1][1],
+        "effective_fidelity_at_t_prime": rows[-1, 1],
         "measurement_basis": cfg["basis"],
         "norm_deviation_max": worst_norm,
     }
@@ -696,7 +701,7 @@ def run_adiabatic_sweep(cfg: ScenarioConfig) -> RunReport:
         summary,
         "delta_over_g,residual,residual_relative,"
         "mode_residual,lowering_residual,inversion_residual",
-        rows,
+        np.array(rows),
     )
 
 
@@ -741,7 +746,7 @@ def run_qfunc(cfg: ScenarioConfig) -> RunReport:
     # the centre column for an odd grid; on an even one the first column
     # right of the axis, fixed by the count rather than by roundoff
     mid = grid.re_axis.size // 2
-    rows = list(zip(grid.im_axis, grid.values[:, mid]))
+    rows = np.column_stack((grid.im_axis, grid.values[:, mid]))
     summary = {
         "mu": [complex(mu).real, complex(mu).imag],
         "nbar": nbar,
@@ -780,17 +785,115 @@ def _plain(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _row_format(width: int) -> str:
-    """One %-format for a CSV row of width values, each as format(v, ".17e")."""
-    return ",".join(["%.17e"] * width) + "\n"
+@functools.cache
+def _csv_tables():
+    """Byte tables, built and read as bytes (so endian-neutral): as uint32
+    words, the digits of 0000..9999 and the head '-d.d' of 00..99, then of
+    their negatives (sign byte 0 when positive); as uint64, 'e+dd' or
+    'e+ddd' zero-padded to eight bytes, for exponents -324..324. And 5^k
+    for k in [-292, 342] as rows hi, hi's upper 26 bits, the rest of hi,
+    and lo, with hi + lo = 5^k to about 2^-106: Python's int / int rounds
+    correctly."""
+    digits = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48
+    head = b"".join(
+        b"%c%d.%d" % (s, q // 10, q % 10) for s in b"\0-" for q in range(100)
+    )
+    exponent = b"".join((b"e%+03d" % e).ljust(8, b"\0") for e in range(-324, 325))
+    pow5 = []
+    for k in range(-292, 343):
+        num, den = (5**k, 1) if k >= 0 else (1, 5**-k)
+        hi = num / den
+        p, q = hi.as_integer_ratio()
+        pow5.append((hi, (num * q - p * den) / (den * q)))
+    hi, lo = np.array(pow5).T
+    split = hi * 134217729.0  # 2^27 + 1: Dekker's split
+    upper = split - (split - hi)
+    return (
+        digits.astype(np.uint8).view(np.uint32).ravel(),
+        np.frombuffer(head, np.uint32),
+        np.frombuffer(exponent, np.uint64),
+        np.array([hi, upper, hi - upper, lo]),
+    )
+
+
+def _scaled(a, e, pow5):
+    """The floor of a * 10^(17 - e) as an int64, and its fractional part:
+    ldexp(a, k) is exact, and its product with 5^k is a double-double
+    (Dekker) within about 1e-11 of the true value."""
+    k = 17 - e
+    hi, upper, lower, lo = np.take(pow5, k + 292, axis=1)
+    s = np.ldexp(a, k)
+    split = s * 134217729.0
+    s_upper = split - (split - s)
+    s_lower = s - s_upper
+    p = s * hi
+    t = ((s_upper * upper - p) + s_upper * lower + s_lower * upper) + s_lower * lower
+    t += s * lo
+    whole = np.floor(t)
+    # a p past 4e18 only marks the cell out of range, without a cast overflow
+    return np.minimum(p, 4e18).astype(np.int64) + whole.astype(np.int64), t - whole
+
+
+def _csv_bytes(table) -> bytes:
+    """CSV lines of a 2-D float64 table, each cell the bytes of
+    format(v, ".17e") (C's %.17e), cells joined by ',' and rows ended by '\\n'.
+
+    Fixed-precision Ryu printf (Adams, OOPSLA 2019) with a double-double in
+    place of 128-bit integers: the 18 significant digits of |v| are
+    D = round(|v| * 10^(17 - E)) with E = floor(log10 |v|), stepped by one
+    where log10 misjudged the decade. A cell whose D is not settled (a
+    fraction near .5, which includes exact ties) or that is not finite is
+    formatted by Python. Each cell fills a 28-byte slot of seven words,
+    '-d.d' + 16 digits + 'e+ddd' + separator, whose unused bytes are 0 and
+    dropped."""
+    digits, head, exponent, pow5 = _csv_tables()
+    rows, cols = table.shape
+    flat = table.ravel()
+    zero = flat == 0.0
+    live = np.isfinite(flat) & ~zero
+    a = np.where(live, np.abs(flat), 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    whole, frac = _scaled(a, e, pow5)
+    # log10 can land on the wrong side of a power of ten: step E by one
+    off = (whole < 10**17) | (whole >= 10**18)
+    if off.any():
+        e[off] += np.where(whole[off] >= 10**18, 1, -1)
+        whole[off], frac[off] = _scaled(a[off], e[off], pow5)
+        off = (whole < 10**17) | (whole >= 10**18)
+    shown = live & ~off & (np.abs(frac - 0.5) >= 1e-6)
+    escape = ~(shown | zero)
+    # rounding up to the next decade: 10^18 reads 1.0e(E+1); zeros (and the
+    # escaped cells, overwritten below) read 0.0e+00
+    d = whole + (frac > 0.5)
+    top = d == 10**18
+    d = np.where(top, 10**17, d) * shown
+    e = (e + top) * shown
+    upper = d // 10**8
+    lower = d - upper * 10**8
+    lead = upper // 10**8
+    middle = upper - lead * 10**8
+    slot = np.empty((rows, cols, 7), dtype=np.uint32)
+    words = slot.reshape(-1, 7)
+    words[:, 0] = head[lead + 100 * np.signbit(flat)]
+    for column, eight in ((1, middle), (3, lower)):
+        four = eight // 10**4
+        words[:, column] = digits[four]
+        words[:, column + 1] = digits[eight - four * 10**4]
+    text = slot.view(np.uint8)
+    text[:, :, 20:].view(np.uint64)[..., 0] = exponent[e + 324].reshape(rows, cols)
+    text[:, :, 25] = np.frombuffer(b"," * (cols - 1) + b"\n", np.uint8)
+    cells = text.reshape(-1, 28)
+    for i in np.flatnonzero(escape):
+        cells[i, :25] = np.frombuffer((b"%.17e" % flat[i]).ljust(25, b"\0"), np.uint8)
+    return text.tobytes().translate(None, b"\0")
 
 
 def write_timeseries(path: str, header: str, rows):
-    """header is the CSV header row; each row holds one value per column."""
-    line = _row_format(header.count(",") + 1)
-    with open(path, "w") as handle:
-        handle.write(header + "\n")
-        handle.writelines(line % tuple(map(float, row)) for row in rows)
+    """header is the CSV header row; rows is a 2-D table, one column per
+    header field."""
+    with open(path, "wb") as handle:
+        handle.write(header.encode() + b"\n")
+        handle.write(_csv_bytes(np.asarray(rows, dtype=np.float64)))
 
 
 def write_summary(path: str, report: RunReport):
@@ -810,12 +913,9 @@ def write_summary(path: str, report: RunReport):
 
 def write_qgrid(path: str, grid: PhaseSpaceGrid):
     """Re axis as the header row, im axis as the leading column."""
-    header = _row_format(grid.re_axis.size) % tuple(grid.re_axis.tolist())
-    line = _row_format(1 + grid.re_axis.size)
-    with open(path, "w") as handle:
-        handle.write("im/re," + header)
-        for im, row in zip(grid.im_axis.tolist(), grid.values.tolist()):
-            handle.write(line % (im, *row))
+    with open(path, "wb") as handle:
+        handle.write(b"im/re," + _csv_bytes(grid.re_axis[None, :]))
+        handle.write(_csv_bytes(np.column_stack((grid.im_axis, grid.values))))
 
 
 def emit(report: RunReport, out_dir: str):

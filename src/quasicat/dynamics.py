@@ -133,12 +133,15 @@ def _check_dispersive(g_total: float, deltas):
     for d in deltas:
         if d is None or d == 0.0:
             raise DetuningTooSmall("dispersive variant needs nonzero detuning")
+        # compared as products: a delta of fl(ratio * g) is never below
+        # fl(RATIO_MIN * g) for ratio >= RATIO_MIN, as rounding is monotone,
+        # while |delta|/g can land one ulp below the ratio
         ratio = abs(d) / g_total
-        if ratio < RATIO_HARD_FLOOR:
+        if abs(d) < RATIO_HARD_FLOOR * g_total:
             raise DetuningTooSmall(
                 f"|delta|/g = {ratio:.2f} < {RATIO_HARD_FLOOR}; effective model invalid"
             )
-        if ratio < RATIO_MIN:
+        if abs(d) < RATIO_MIN * g_total:
             warnings.warn(
                 f"|delta|/g = {ratio:.2f} below {RATIO_MIN}; effective model marginal",
                 DetuningRatioWarning,

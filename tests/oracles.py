@@ -1,9 +1,10 @@
-"""Dense reference implementations that the runtime package no longer ships.
+"""Reference implementations that the runtime package no longer ships.
 
 The tests compare the per-sector runtime code against these. They build the
 full (2 dim)^2 single-mode-plus-atom matrices and the (2 dim1 dim2)^2
 two-mode matrices of every Hamiltonian variant, so they are slow at large
-dim and serve only as an independent check.
+dim and serve only as an independent check. csv_rows is the per-row writer
+that the CSV kernel replaced.
 """
 
 import math
@@ -367,3 +368,10 @@ def cat_husimi_bound(nbar: float, convention: int, leak_tol: float) -> float:
     norm_sq = 2.0 - 2.0 * convention * math.cos(math.pi * nbar) * math.exp(-2.0 * nbar)
     eps = 4.0 * leak_tol / norm_sq
     return 2.0 * math.sqrt(2.0 * eps) / math.pi + 1e-12
+
+
+def csv_rows(table) -> bytes:
+    """CSV lines of a 2-D table as the per-row writer formed them: one
+    "%.17e"-joined %-format per row, each cell as format(float(v), ".17e")."""
+    line = ",".join(["%.17e"] * table.shape[1]) + "\n"
+    return "".join(line % tuple(map(float, row)) for row in table).encode()

@@ -760,7 +760,7 @@ def test_grid_peaks_match_the_point_loop(shape, levels, seed):
 
 
 def test_writers_match_per_value_format(tmp_path):
-    # one %-format per row writes the bytes format(v, ".17e") writes per value
+    # the CSV kernel writes the bytes format(v, ".17e") writes per value
     rng = np.random.default_rng(3)
     values = rng.normal(size=(5, 7)) * 10.0 ** rng.integers(-300, 300, size=(5, 7))
     values[0, :3] = [0.0, -0.0, 1.0 / 3.0]

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies
 
 from quasicat import (
@@ -44,7 +44,10 @@ from quasicat import (
     two_mode_cat_target,
 )
 from quasicat.dynamics import (
+    RATIO_HARD_FLOOR,
+    RATIO_MIN,
     SIGMA_Z,
+    _check_dispersive,
     dispersive_norm,
     excitation_diagonal,
     excitation_sectors,
@@ -615,6 +618,21 @@ def test_effective_detuning_guards():
     bad = product_state(coherent_state(1.0, 16), basis_state(0, 2), (1.0, 0.0), "physical")
     with pytest.raises(BasisMismatch):
         evolve_effective(bad, 1.0, 1.0, 40.0)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, deadline=None)
+@given(g=strategies.floats(1e-3, 1e3))
+@example(g=1.7320550147428841)  # |delta|/g reads one ulp below the ratio
+def test_ratio_exactly_at_a_bound_is_on_its_safe_side(g):
+    # the scenarios form delta as ratio * g
+    _check_dispersive(g, (RATIO_MIN * g, -RATIO_MIN * g))
+    with pytest.warns(DetuningRatioWarning):
+        _check_dispersive(g, (RATIO_MIN * (1.0 - 1e-9) * g,))
+    with pytest.warns(DetuningRatioWarning):
+        _check_dispersive(g, (RATIO_HARD_FLOOR * g,))
+    with pytest.raises(DetuningTooSmall):
+        _check_dispersive(g, (RATIO_HARD_FLOOR * (1.0 - 1e-9) * g,))
 
 
 # ------------------------------------------------------------ measurement
