@@ -835,18 +835,20 @@ def _scaled(a, e, pow5):
 
 
 def _csv_bytes(table) -> bytes:
-    """CSV lines of a 2-D float64 table, each cell the bytes of
-    format(v, ".17e") (C's %.17e), cells joined by ',' and rows ended by '\\n'.
+    """CSV lines of a 2-D table, each cell the bytes of format(v, ".17e")
+    (C's %.17e) of its float64 value, cells joined by ',' and rows ended by
+    '\\n'.
 
     Fixed-precision Ryu printf (Adams, OOPSLA 2019) with a double-double in
     place of 128-bit integers: the 18 significant digits of |v| are
-    D = round(|v| * 10^(17 - E)) with E = floor(log10 |v|), stepped by one
-    where log10 misjudged the decade. A cell whose D is not settled (a
-    fraction near .5, which includes exact ties) or that is not finite is
-    formatted by Python. Each cell fills a 28-byte slot of seven words,
-    '-d.d' + 16 digits + 'e+ddd' + separator, whose unused bytes are 0 and
-    dropped."""
+    D = round(|v| * 10^(17 - E)) with E = floor(log10 |v|). A cell whose D
+    is not settled in [10^17, 10^18) (log10 on the wrong side of a power of
+    ten, a round up to the next decade, or a fraction near .5, which
+    includes exact ties) or that is not finite is formatted by Python. Each
+    cell fills a 28-byte slot of seven words, '-d.d' + 16 digits + 'e+ddd' +
+    separator, whose unused bytes are 0 and dropped."""
     digits, head, exponent, pow5 = _csv_tables()
+    table = np.asarray(table, dtype=np.float64)
     rows, cols = table.shape
     flat = table.ravel()
     zero = flat == 0.0
@@ -854,20 +856,12 @@ def _csv_bytes(table) -> bytes:
     a = np.where(live, np.abs(flat), 1.0)
     e = np.floor(np.log10(a)).astype(np.int64)
     whole, frac = _scaled(a, e, pow5)
-    # log10 can land on the wrong side of a power of ten: step E by one
-    off = (whole < 10**17) | (whole >= 10**18)
-    if off.any():
-        e[off] += np.where(whole[off] >= 10**18, 1, -1)
-        whole[off], frac[off] = _scaled(a[off], e[off], pow5)
-        off = (whole < 10**17) | (whole >= 10**18)
-    shown = live & ~off & (np.abs(frac - 0.5) >= 1e-6)
-    escape = ~(shown | zero)
-    # rounding up to the next decade: 10^18 reads 1.0e(E+1); zeros (and the
-    # escaped cells, overwritten below) read 0.0e+00
     d = whole + (frac > 0.5)
-    top = d == 10**18
-    d = np.where(top, 10**17, d) * shown
-    e = (e + top) * shown
+    shown = live & (whole >= 10**17) & (d < 10**18) & (np.abs(frac - 0.5) >= 1e-6)
+    escape = ~(shown | zero)
+    # zeros (and the escaped cells, overwritten below) read 0.0e+00
+    d *= shown
+    e *= shown
     upper = d // 10**8
     lower = d - upper * 10**8
     lead = upper // 10**8
@@ -893,7 +887,7 @@ def write_timeseries(path: str, header: str, rows):
     header field."""
     with open(path, "wb") as handle:
         handle.write(header.encode() + b"\n")
-        handle.write(_csv_bytes(np.asarray(rows, dtype=np.float64)))
+        handle.write(_csv_bytes(rows))
 
 
 def write_summary(path: str, report: RunReport):

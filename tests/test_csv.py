@@ -70,6 +70,22 @@ def test_kernel_matches_row_writer_on_hard_cases(width):
         _check(np.array([[value]]))
 
 
+@pytest.mark.parametrize("toward", [-math.inf, math.inf])
+def test_kernel_stays_exact_when_log10_is_one_ulp_off(toward, monkeypatch):
+    # a log10 one ulp off puts cells near a power of ten in the wrong decade,
+    # or lets them round up to the next one; each must go to Python instead
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: np.nextafter(log10(a), toward))
+    values = np.array(HARD_CASES + [-v for v in HARD_CASES])
+    _check(values[:, None])
+    _check(np.random.default_rng(3).lognormal(0.0, 30.0, size=(200, 5)))
+
+
+def test_kernel_formats_float32_tables_by_their_float64_values():
+    table = np.array([[0.1, 1e-30], [3.4e38, -2.5]], dtype=np.float32)
+    assert _csv_bytes(table) == csv_rows(table.astype(np.float64))
+
+
 def test_kernel_on_empty_and_single_cell_tables():
     assert _csv_bytes(np.empty((0, 3))) == b""
     assert _csv_bytes(np.array([[1.5]])) == b"1.50000000000000000e+00\n"
