@@ -18,7 +18,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -84,106 +84,133 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # (time, level) amplitude pairs, so memory stays bounded at any dim
 CHUNK_PAIRS = 2048
 
-COMMON_DEFAULTS = {
-    "out": "quasicat-out",
-    "seed": 12345,
-    "dim": None,
+
+class Key(NamedTuple):
+    """A config key: its default (None leaves it unset) and the rule that
+    turns a raw file or flag string into a checked value."""
+
+    default: object
+    rule: Callable[[str, str], object]
+
+
+def _rule(kind, test=None, need=""):
+    """Rule: parse raw as kind (a float must also be finite), then require
+    test(value); each failure raises ConfigInvalid naming the key."""
+
+    def rule(key, raw):
+        try:
+            value = kind(raw)
+        except ValueError as exc:
+            raise ConfigInvalid(f"cannot parse {key}={raw!r}: {exc}") from None
+        if kind is float and not math.isfinite(value):
+            raise ConfigInvalid(f"{key} must be finite, got {value}")
+        if test is not None and not test(value):
+            raise ConfigInvalid(f"{key} must {need}, got {value!r}")
+        return value
+
+    return rule
+
+
+# cached, so one bound is one rule object that tables and tests can compare
+@functools.cache
+def at_least(minimum: int):
+    return _rule(int, lambda value: value >= minimum, f"be >= {minimum}")
+
+
+@functools.cache
+def one_of(*allowed):
+    choices = ", ".join(str(a) for a in allowed)
+    return _rule(type(allowed[0]), allowed.__contains__, f"be one of {choices}")
+
+
+finite = _rule(float)
+positive = _rule(float, lambda value: value > 0, "be positive")
+unit_interval = _rule(float, lambda value: 0.0 < value < 1.0, "lie in (0, 1)")
+directory = _rule(str, bool, "name a directory")
+
+
+def _floats(raw: str) -> list:
+    return [float(tok) for tok in raw.split(",") if tok.strip()]
+
+
+def float_list(key, raw):
+    """Rule: comma-separated finite floats, at least one; the value stays
+    the text."""
+    try:
+        values = _floats(raw)
+    except ValueError as exc:
+        raise ConfigInvalid(f"bad {key} list {raw!r}: {exc}") from None
+    if not values or not all(map(math.isfinite, values)):
+        raise ConfigInvalid(f"{key} must list finite numbers, got {raw!r}")
+    return raw
+
+
+# the keys every scenario takes; a scenario row of the same key replaces its row
+COMMON_KEYS = {
+    "out": Key("quasicat-out", directory),
+    "seed": Key(12345, at_least(0)),
+    "dim": Key(None, at_least(1)),
 }
 
-SCENARIO_DEFAULTS = {
+SCENARIO_KEYS = {
     "validate": {
-        "trials": 3,
-        "g1": 1.0,
-        "g2": 0.7,
-        "delta": 0.5,
-        "t": 2.3,
-        "dim": 12,
-        "leak_tol": LEAK_TOL,
+        "trials": Key(3, at_least(1)),
+        "g1": Key(1.0, finite),
+        "g2": Key(0.7, finite),
+        "delta": Key(0.5, finite),
+        "t": Key(2.3, finite),
+        "dim": Key(12, at_least(1)),
+        "leak_tol": Key(LEAK_TOL, unit_interval),
     },
     "zero-detuning": {
-        "nbar": 25.0,
-        "g1": 1.0,
-        "g2": 1.0,
-        "alpha_re": None,
-        "alpha_im": None,
-        "beta_re": None,
-        "beta_im": None,
-        "gamma_re": 1.0,
-        "gamma_im": 0.0,
-        "delta_amp_re": 0.0,
-        "delta_amp_im": 0.0,
-        "t_max": None,
-        "t_steps": 240,
-        "convention": 0,
-        "leak_tol": LEAK_TOL,
+        "nbar": Key(25.0, positive),
+        "g1": Key(1.0, finite),
+        "g2": Key(1.0, finite),
+        "alpha_re": Key(None, finite),
+        "alpha_im": Key(None, finite),
+        "beta_re": Key(None, finite),
+        "beta_im": Key(None, finite),
+        "gamma_re": Key(1.0, finite),
+        "gamma_im": Key(0.0, finite),
+        "delta_amp_re": Key(0.0, finite),
+        "delta_amp_im": Key(0.0, finite),
+        "t_max": Key(None, finite),
+        "t_steps": Key(240, at_least(2)),
+        "convention": Key(0, one_of(-1, 0, 1)),
+        "leak_tol": Key(LEAK_TOL, unit_interval),
     },
     "large-detuning": {
-        "nbar": 4.0,
-        "g": 1.0,
-        "ratio": 50.0,
-        "gamma_re": INV_SQRT2,
-        "gamma_im": 0.0,
-        "delta_amp_re": INV_SQRT2,
-        "delta_amp_im": 0.0,
-        "t_steps": 120,
-        "basis": "plusminus",
-        "leak_tol": LEAK_TOL,
+        "nbar": Key(4.0, positive),
+        "g": Key(1.0, positive),
+        "ratio": Key(50.0, finite),
+        "gamma_re": Key(INV_SQRT2, finite),
+        "gamma_im": Key(0.0, finite),
+        "delta_amp_re": Key(INV_SQRT2, finite),
+        "delta_amp_im": Key(0.0, finite),
+        "t_steps": Key(120, at_least(2)),
+        "basis": Key("plusminus", one_of("plusminus", "energy")),
+        "leak_tol": Key(LEAK_TOL, unit_interval),
     },
     "adiabatic-sweep": {
-        "g": 1.0,
-        "ratios": "20,40,80,160",
-        "n_max": 10,
-        "dim": 40,
+        "g": Key(1.0, positive),
+        "ratios": Key("20,40,80,160", float_list),
+        "n_max": Key(10, at_least(0)),
+        "dim": Key(40, at_least(1)),
     },
     "qfunc": {
-        "nbar": 9.0,
-        "mu_re": None,
-        "mu_im": None,
-        "convention": 1,
-        "grid_points": 101,
-        "leak_tol": LEAK_TOL,
+        "nbar": Key(9.0, positive),
+        "mu_re": Key(None, finite),
+        "mu_im": Key(None, finite),
+        "convention": Key(1, one_of(-1, 1)),
+        "grid_points": Key(101, at_least(2)),
+        "leak_tol": Key(LEAK_TOL, unit_interval),
     },
 }
 
-_INT_KEYS = {
-    "seed",
-    "dim",
-    "t_steps",
-    "n_max",
-    "grid_points",
-    "trials",
-    "convention",
-}
-_STR_KEYS = {"out", "basis", "ratios"}
 
-# (scenario, key) -> allowed values; checked after conversion, so a config
-# file and a flag are held to the same choices
-_CHOICES = {
-    ("zero-detuning", "convention"): (-1, 0, 1),
-    ("qfunc", "convention"): (-1, 1),
-    ("large-detuning", "basis"): ("plusminus", "energy"),
-}
-
-# smallest allowed value of each integer key
-_MINIMUMS = {
-    "seed": 0,
-    "trials": 1,
-    "t_steps": 2,
-    "grid_points": 2,
-    "n_max": 0,
-    "dim": 1,
-}
-
-
-@dataclass
-class ScenarioConfig:
-    """Fully resolved scenario parameters (defaults < file < flags)."""
-
-    scenario: str
-    values: dict
-
-    def __getitem__(self, key):
-        return self.values[key]
+def config_keys(scenario: str) -> dict:
+    """Every key of scenario, name -> Key, common keys first."""
+    return {**COMMON_KEYS, **SCENARIO_KEYS[scenario]}
 
 
 @dataclass
@@ -198,41 +225,6 @@ class RunReport:
     config: dict = field(default_factory=dict)
     seed: int = 0
     wall_clock_s: float = 0.0
-
-
-def _convert(key: str, raw: str):
-    if key in _STR_KEYS:
-        return raw
-    try:
-        if key in _INT_KEYS:
-            return int(raw)
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigInvalid(f"cannot parse {key}={raw!r}: {exc}") from None
-
-
-def _check(scenario: str, values: dict):
-    """Range checks on converted values; unset (None) keys are skipped."""
-    for key, value in values.items():
-        if value is None:
-            continue
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigInvalid(f"{key} must be finite, got {value}")
-        allowed = _CHOICES.get((scenario, key))
-        if allowed is not None and value not in allowed:
-            choices = ", ".join(str(a) for a in allowed)
-            raise ConfigInvalid(f"{key} must be one of {choices}, got {value!r}")
-        if key in _MINIMUMS and value < _MINIMUMS[key]:
-            raise ConfigInvalid(f"{key} must be >= {_MINIMUMS[key]}, got {value}")
-    if not values["out"]:
-        raise ConfigInvalid("out must name a directory")
-    if "leak_tol" in values and not 0.0 < values["leak_tol"] < 1.0:
-        raise ConfigInvalid(f"leak_tol must lie in (0, 1), got {values['leak_tol']}")
-    for key in ("g", "nbar"):
-        if key in values and values[key] <= 0:
-            raise ConfigInvalid(f"{key} must be positive, got {values[key]}")
-    if "ratios" in values:
-        _parse_ratios(values["ratios"])
 
 
 def parse_config_file(path: str) -> dict:
@@ -252,24 +244,23 @@ def parse_config_file(path: str) -> dict:
     return out
 
 
-def resolve_config(scenario: str, namespace: argparse.Namespace) -> ScenarioConfig:
-    """defaults < file < flags; file and flag values are raw strings that go
-    through the same conversion and checks."""
-    defaults = dict(COMMON_DEFAULTS)
-    defaults.update(SCENARIO_DEFAULTS[scenario])
-    values = dict(defaults)
+def resolve_config(scenario: str, namespace: argparse.Namespace) -> dict:
+    """defaults < file < flags. Each file value, then each flag value, goes
+    through its key's rule as it is read, so a bad file value is refused
+    even where a flag overrides it."""
+    keys = config_keys(scenario)
+    values = {key: row.default for key, row in keys.items()}
     config_path = getattr(namespace, "config", None)
-    if config_path:
-        for key, raw in parse_config_file(config_path).items():
-            if key not in defaults:
-                raise ConfigInvalid(f"unknown config key {key!r} for {scenario}")
-            values[key] = _convert(key, raw)
-    for key in defaults:
-        flag_value = getattr(namespace, key, None)
-        if flag_value is not None:
-            values[key] = _convert(key, flag_value)
-    _check(scenario, values)
-    return ScenarioConfig(scenario, values)
+    raw_file = parse_config_file(config_path) if config_path else {}
+    for key, raw in raw_file.items():
+        if key not in keys:
+            raise ConfigInvalid(f"unknown config key {key!r} for {scenario}")
+        values[key] = keys[key].rule(key, raw)
+    for key, row in keys.items():
+        raw = getattr(namespace, key, None)
+        if raw is not None:
+            values[key] = row.rule(key, raw)
+    return values
 
 
 def _atom_amps(cfg) -> np.ndarray:
@@ -315,7 +306,7 @@ def _sector_blocks(hamiltonian, sectors):
     return blocks, (rows[~inside], cols[~inside], values[~inside])
 
 
-def run_validate(cfg: ScenarioConfig) -> RunReport:
+def run_validate(cfg: dict) -> RunReport:
     rng = np.random.default_rng(cfg["seed"])
     dim = cfg["dim"]
     checks = {}
@@ -495,7 +486,7 @@ def run_validate(cfg: ScenarioConfig) -> RunReport:
     )
 
 
-def run_zero_detuning(cfg: ScenarioConfig) -> RunReport:
+def run_zero_detuning(cfg: dict) -> RunReport:
     rot = rotation_params(cfg["g1"], cfg["g2"])
     amplitude_keys = ("alpha_re", "alpha_im", "beta_re", "beta_im")
     if any(cfg[key] is not None for key in amplitude_keys):
@@ -579,7 +570,7 @@ def _post_state_overlap(plus, minus) -> float:
     return float(abs(np.vdot(plus.post_state.tensor, minus.post_state.tensor)))
 
 
-def run_large_detuning(cfg: ScenarioConfig) -> RunReport:
+def run_large_detuning(cfg: dict) -> RunReport:
     g = cfg["g"]
     g_sq = coupling_square(g)
     delta = cfg["ratio"] * g
@@ -647,21 +638,9 @@ def run_large_detuning(cfg: ScenarioConfig) -> RunReport:
     )
 
 
-def _parse_ratios(raw: str):
-    try:
-        ratios = [float(tok) for tok in raw.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigInvalid(f"bad ratios list {raw!r}: {exc}") from None
-    if not ratios:
-        raise ConfigInvalid("ratios list is empty")
-    if not all(math.isfinite(ratio) for ratio in ratios):
-        raise ConfigInvalid(f"ratios must be finite, got {raw!r}")
-    return ratios
-
-
-def run_adiabatic_sweep(cfg: ScenarioConfig) -> RunReport:
+def run_adiabatic_sweep(cfg: dict) -> RunReport:
     g = cfg["g"]
-    ratios = _parse_ratios(cfg["ratios"])
+    ratios = _floats(cfg["ratios"])
     n_max = cfg["n_max"]
     dim = cfg["dim"]
     # the sector residuals never read dim; the key only guards
@@ -731,7 +710,7 @@ def _grid_peaks(grid: PhaseSpaceGrid, top: int = 2, min_separation: float = 0.5)
     return picked
 
 
-def run_qfunc(cfg: ScenarioConfig) -> RunReport:
+def run_qfunc(cfg: dict) -> RunReport:
     if cfg["mu_re"] is not None or cfg["mu_im"] is not None:
         mu = complex(cfg["mu_re"] or 0.0, cfg["mu_im"] or 0.0)
         nbar = coherent_nbar(mu)
@@ -945,13 +924,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="scenario", required=True)
     for scenario, help_text in SCENARIO_HELP.items():
         p = sub.add_parser(scenario, help=help_text)
-        defaults = {"config": None, **COMMON_DEFAULTS, **SCENARIO_DEFAULTS[scenario]}
-        for key, default in defaults.items():
-            p.add_argument(
-                "--" + key.replace("_", "-"),
-                dest=key,
-                help="key=value file" if key == "config" else f"default: {default}",
-            )
+        p.add_argument("--config", help="key=value file")
+        for key, row in config_keys(scenario).items():
+            flag = "--" + key.replace("_", "-")
+            p.add_argument(flag, dest=key, help=f"default: {row.default}")
     return parser
 
 
@@ -961,10 +937,11 @@ _parser = functools.cache(build_parser)
 
 def main(argv=None) -> int:
     namespace = _parser().parse_args(argv)
+    scenario = namespace.scenario
     try:
-        cfg = resolve_config(namespace.scenario, namespace)
+        cfg = resolve_config(scenario, namespace)
         started = time.perf_counter()
-        report = SCENARIOS[cfg.scenario](cfg)
+        report = SCENARIOS[scenario](cfg)
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -972,7 +949,7 @@ def main(argv=None) -> int:
         print(f"run error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 3
     report.wall_clock_s = time.perf_counter() - started
-    report.config, report.seed = dict(cfg.values), cfg["seed"]
+    report.config, report.seed = cfg, cfg["seed"]
     emit(report, cfg["out"])
     summary_path = os.path.join(cfg["out"], "summary.json")
     if report.summary.get("all_passed") is False:
@@ -987,7 +964,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 3
-    print(f"{cfg.scenario}: wrote {summary_path}")
+    print(f"{scenario}: wrote {summary_path}")
     return 0
 
 

@@ -19,8 +19,7 @@ from quasicat import (
     rotation_params,
 )
 from quasicat.cli import (
-    COMMON_DEFAULTS,
-    SCENARIO_DEFAULTS,
+    SCENARIO_KEYS,
     VALIDATE_TOL,
     build_parser,
     main,
@@ -385,14 +384,14 @@ def test_timeseries_values_are_finite(tmp_path):
 
 
 def _keys(scenario):
-    return {**COMMON_DEFAULTS, **SCENARIO_DEFAULTS[scenario]}
+    return {key: row.default for key, row in cli.config_keys(scenario).items()}
 
 
 def _flag(key):
     return "--" + key.replace("_", "-")
 
 
-@pytest.mark.parametrize("scenario", sorted(SCENARIO_DEFAULTS))
+@pytest.mark.parametrize("scenario", sorted(SCENARIO_KEYS))
 def test_parser_flags_come_from_key_table(scenario):
     parser = build_parser()
     dests = set(vars(parser.parse_args([scenario]))) - {"scenario"}
@@ -499,7 +498,7 @@ FUZZ_BASE = {
 
 @st.composite
 def _fuzz_case(draw):
-    scenario = draw(st.sampled_from(sorted(SCENARIO_DEFAULTS)))
+    scenario = draw(st.sampled_from(sorted(SCENARIO_KEYS)))
     key = draw(st.sampled_from(sorted(_keys(scenario))))
     return scenario, key, draw(st.sampled_from(FUZZ_VALUES))
 
@@ -738,7 +737,7 @@ def test_main_parses_with_one_parser_and_no_shared_state(tmp_path):
         ("zero-detuning", "large-detuning", "zero-detuning"),
         ({"nbar": 9.0, "t_steps": 3}, {"t_steps": 4}, {"t_steps": 2}),
     ):
-        expected = {**COMMON_DEFAULTS, **SCENARIO_DEFAULTS[scenario], **flags}
+        expected = {**_keys(scenario), **flags}
         assert config == {**expected, "out": config["out"]}
 
 
