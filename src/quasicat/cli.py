@@ -2,10 +2,14 @@
 
 Subcommands: validate, zero-detuning, large-detuning, adiabatic-sweep, qfunc.
 Configuration comes from a flat key=value file (--config) overridden by CLI
-flags; units follow the g = 1 convention unless explicit frequencies are
-given, so times are in units of 1/g. Every scenario writes
-<out>/timeseries.csv and <out>/summary.json; qfunc adds <out>/qgrid.csv.
-Exit codes: 0 success, 2 config error, 3 numeric/validity error.
+flags. Each key is one row of COMMON_KEYS or SCENARIO_KEYS: its default and
+the rule that turns a raw file or flag string into a checked value. The
+parser's flags and resolve_config both read these rows. Units follow the
+g = 1 convention unless explicit frequencies are given, so times are in
+units of 1/g. Every scenario writes <out>/timeseries.csv and
+<out>/summary.json, which is strict JSON; qfunc adds <out>/qgrid.csv.
+Exit codes: 0 success, 2 config error, 3 numeric/validity error (a
+non-finite summary field included).
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ from .errors import (
     ConfigInvalid,
     DimTooSmall,
     NonFiniteInput,
+    NonFiniteOutput,
     NormViolation,
     QuasicatError,
 )
@@ -83,6 +88,10 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # zero- and large-detuning propagate their time axis in chunks of this many
 # (time, level) amplitude pairs, so memory stays bounded at any dim
 CHUNK_PAIRS = 2048
+
+# an adiabatic-sweep residual whose residual_relative lies below this is
+# roundoff, and a shrink factor with such a residual on either side is null
+ROUNDOFF_FLOOR = 1e3 * sys.float_info.epsilon
 
 
 class Key(NamedTuple):
@@ -436,7 +445,7 @@ def run_validate(cfg: dict) -> RunReport:
     p, q = squeeze_composition(rot, 0.3 + 0.1j, 0.3 + 0.1j)
     checks["squeeze_equal_params"] = abs(p) + abs(q - (0.3 + 0.1j))
     checks["squeeze_operator_identity"] = squeeze_identity_residual(
-        rotation_params(1.0, 1.0), 0.25, 0.25, dim=24, input_cap=6
+        rotation_params(1.0, 1.0), 0.25, 0.25, dim=24
     )
 
     # phasing quasi mode I splits into two branches of equal total energy
@@ -663,9 +672,10 @@ def run_adiabatic_sweep(cfg: dict) -> RunReport:
                 ops["inversion"],
             )
         )
+    # rows hold (ratio, residual, residual_relative, ...)
     factors = [
-        residuals[i] / residuals[i + 1] if residuals[i + 1] > 0 else float("inf")
-        for i in range(len(residuals) - 1)
+        here[1] / there[1] if min(here[2], there[2]) >= ROUNDOFF_FLOOR else None
+        for here, there in zip(rows, rows[1:])
     ]
     summary = {
         "g": g,
@@ -869,7 +879,21 @@ def write_timeseries(path: str, header: str, rows):
         handle.write(_csv_bytes(rows))
 
 
-def write_summary(path: str, report: RunReport):
+def _nonfinite_fields(obj, path=""):
+    """(path, value) of each NaN or infinite float in a JSON payload."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _nonfinite_fields(value, f"{path}.{key}" if path else key)
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        for i, value in enumerate(obj):
+            yield from _nonfinite_fields(value, f"{path}[{i}]")
+    elif isinstance(obj, (float, np.floating)) and not math.isfinite(obj):
+        yield path, obj
+
+
+def summary_text(report: RunReport) -> str:
+    """summary.json's text, strict JSON: a NaN or infinite field raises
+    NonFiniteOutput naming it."""
     payload = {
         "scenario": report.scenario,
         "schema_version": SCHEMA_VERSION,
@@ -879,9 +903,15 @@ def write_summary(path: str, report: RunReport):
         "summary": report.summary,
         "wall_clock_s": report.wall_clock_s,
     }
-    with open(path, "w") as handle:
-        json.dump(payload, handle, sort_keys=True, indent=2, default=_plain)
-        handle.write("\n")
+    try:
+        text = json.dumps(
+            payload, sort_keys=True, indent=2, default=_plain, allow_nan=False
+        )
+    except ValueError:
+        for name, value in _nonfinite_fields(payload):
+            raise NonFiniteOutput(f"{name} = {value} is not finite") from None
+        raise
+    return text + "\n"
 
 
 def write_qgrid(path: str, grid: PhaseSpaceGrid):
@@ -892,13 +922,16 @@ def write_qgrid(path: str, grid: PhaseSpaceGrid):
 
 
 def emit(report: RunReport, out_dir: str):
+    # the summary is checked before any file is written
+    summary = summary_text(report)
     os.makedirs(out_dir, exist_ok=True)
     write_timeseries(
         os.path.join(out_dir, "timeseries.csv"),
         report.timeseries_header,
         report.timeseries_rows,
     )
-    write_summary(os.path.join(out_dir, "summary.json"), report)
+    with open(os.path.join(out_dir, "summary.json"), "w") as handle:
+        handle.write(summary)
     if report.qgrid is not None:
         write_qgrid(os.path.join(out_dir, "qgrid.csv"), report.qgrid)
 
@@ -942,15 +975,15 @@ def main(argv=None) -> int:
         cfg = resolve_config(scenario, namespace)
         started = time.perf_counter()
         report = SCENARIOS[scenario](cfg)
+        report.wall_clock_s = time.perf_counter() - started
+        report.config, report.seed = cfg, cfg["seed"]
+        emit(report, cfg["out"])
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except QuasicatError as exc:
         print(f"run error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 3
-    report.wall_clock_s = time.perf_counter() - started
-    report.config, report.seed = cfg, cfg["seed"]
-    emit(report, cfg["out"])
     summary_path = os.path.join(cfg["out"], "summary.json")
     if report.summary.get("all_passed") is False:
         failed = [

@@ -10,6 +10,11 @@ class NonFiniteInput(QuasicatError):
     """An input amplitude or parameter is NaN or infinite."""
 
 
+class NonFiniteOutput(QuasicatError):
+    """A result bound for summary.json is NaN or infinite, which strict JSON
+    cannot hold."""
+
+
 class DimTooSmall(QuasicatError):
     """Truncation dimension cannot hold the requested state within leak_tol."""
 

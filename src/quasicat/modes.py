@@ -30,6 +30,9 @@ from .fock import ComplexMatrix, expm_antihermitian, ladder_matrix
 PHYSICAL = "physical"
 QUASI = "quasi"
 
+# the highest total-photon shell squeeze_identity_residual probes by default
+SQUEEZE_INPUT_CAP = 6
+
 
 @dataclass
 class ModeRotation:
@@ -209,7 +212,7 @@ def squeeze_identity_residual(
     z1: complex,
     z2: complex,
     dim: int,
-    input_cap: int = 8,
+    input_cap: int = SQUEEZE_INPUT_CAP,
 ) -> float:
     """Residual of the squeeze composition law on the trusted block.
 

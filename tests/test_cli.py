@@ -457,6 +457,72 @@ def test_bad_value_is_config_error_naming_key(tmp_path, capsys, scenario, key, v
     assert not os.path.exists(out)
 
 
+# a raw value just inside and one just outside what each rule accepts; a
+# rule missing here fails test_every_key_has_a_rule_with_edges
+RULE_EDGES = {
+    cli.at_least(0): ("0", "-1"),
+    cli.at_least(1): ("1", "0"),
+    cli.at_least(2): ("2", "1"),
+    cli.finite: ("-1.7976931348623157e308", "-inf"),
+    cli.positive: ("5e-324", "0"),
+    cli.unit_interval: ("0.9999999999999999", "1"),
+    cli.one_of(-1, 0, 1): ("1", "2"),
+    cli.one_of(-1, 1): ("-1", "0"),
+    cli.one_of("plusminus", "energy"): ("energy", "Energy"),
+    cli.directory: ("o", ""),
+    cli.float_list: ("1.7976931348623157e308", "1.8e308"),
+}
+
+KEY_ROWS = [
+    (scenario, key, row)
+    for scenario in sorted(SCENARIO_KEYS)
+    for key, row in cli.config_keys(scenario).items()
+]
+
+
+@pytest.mark.parametrize("scenario, key, row", KEY_ROWS)
+def test_every_key_has_a_rule_with_edges(scenario, key, row):
+    assert row.rule in RULE_EDGES
+    inside, _ = RULE_EDGES[row.rule]
+    row.rule(key, inside)
+    if row.default is not None:
+        # the default passes its own rule and comes back as itself
+        assert row.rule(key, str(row.default)) == row.default
+
+
+@pytest.mark.parametrize("scenario, key, row", KEY_ROWS)
+def test_value_just_outside_its_rule_exits_2_naming_key(
+    tmp_path, capsys, scenario, key, row
+):
+    out = tmp_path / "o"
+    _, outside = RULE_EDGES[row.rule]
+    assert main([scenario, "--out", str(out), f"{_flag(key)}={outside}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key} must ")
+    assert not out.exists()
+
+
+def test_readme_has_one_row_per_key():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as handle:
+        rows = [line.split("|")[1].strip() for line in handle if line.startswith("| `--")]
+    keys = {key for scenario in SCENARIO_KEYS for key in cli.config_keys(scenario)}
+    assert sorted(rows) == sorted(f"`{_flag(key)}`" for key in keys)
+
+
+@pytest.mark.parametrize("file_value", ["1", "abc"])
+def test_bad_file_value_is_refused_under_a_flag(tmp_path, capsys, file_value):
+    # each file value goes through its rule as it is read, so a flag that
+    # overrides it does not hide it
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"t_steps = {file_value}\n")
+    out = tmp_path / "o"
+    argv = ["zero-detuning", "--config", str(cfg), "--t-steps", "5", "--out", str(out)]
+    assert main(argv) == 2
+    assert "t_steps" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_off_axis_zero_detuning_matches_on_axis(tmp_path):
     # g1 = g2 puts the rotation at 45 degrees, so these (alpha, beta) rotate to
     # mu = -2i on quasi mode I, the --nbar 4 state, and nu = 1.5 on mode II;

@@ -234,14 +234,14 @@ def test_squeeze_composition_balanced():
 
 def test_squeeze_identity_equal_parameters():
     resid = squeeze_identity_residual(
-        rotation_params(1.0, 0.7), 0.25 + 0.1j, 0.25 + 0.1j, dim=24, input_cap=6
+        rotation_params(1.0, 0.7), 0.25 + 0.1j, 0.25 + 0.1j, dim=24
     )
     assert resid < 1e-9
 
 
 def test_squeeze_identity_balanced_real():
     resid = squeeze_identity_residual(
-        rotation_params(1.0, 1.0), 0.1, 0.35, dim=30, input_cap=6
+        rotation_params(1.0, 1.0), 0.1, 0.35, dim=30
     )
     assert resid < 1e-6
 
@@ -249,7 +249,7 @@ def test_squeeze_identity_balanced_real():
 def test_squeeze_identity_detects_invalid_composition():
     # unequal parameters away from theta = pi/4: the factorized form is wrong
     resid = squeeze_identity_residual(
-        rotation_params(1.0, 0.5), 0.4, -0.2, dim=30, input_cap=6
+        rotation_params(1.0, 0.5), 0.4, -0.2, dim=30
     )
     assert resid > 0.1
 
