@@ -57,7 +57,9 @@ class DensityMatrix:
                 f"matrix shape {self.matrix.shape} does not match dims {self.dims}"
             )
         scale = max(1.0, float(np.abs(self.matrix).max()))
-        if not np.allclose(self.matrix, self.matrix.conj().T, atol=1e-8 * scale):
+        if not np.allclose(
+            self.matrix, self.matrix.conj().T, rtol=0.0, atol=1e-8 * scale
+        ):
             raise DimensionMismatch("density matrix is not Hermitian")
         tr = float(np.trace(self.matrix).real)
         if abs(tr - 1.0) > 1e-8:
@@ -192,18 +194,30 @@ def _atom_density(state) -> np.ndarray:
     return np.matmul(levels.swapaxes(-1, -2), levels.conj())
 
 
+def _inversion(rho):
+    return (rho[..., 1, 1].real - rho[..., 0, 0].real)[()]
+
+
+def _purity(rho):
+    return np.sum(rho.real**2 + rho.imag**2, axis=(-2, -1))[()]
+
+
 def atomic_inversion(state):
     """<sigma_z> = P(upper) - P(lower) of a pure state: a SystemState or a
     (..., dim1, dim2, 2) amplitude stack, one value per leading index and a
     float for a single state. The stack observables below read alike."""
-    rho = _atom_density(state)
-    return (rho[..., 1, 1].real - rho[..., 0, 0].real)[()]
+    return _inversion(_atom_density(state))
 
 
 def atom_purity(state):
     """trace(rho_atom^2); purity(partial_trace(state, "atom")) of each state."""
+    return _purity(_atom_density(state))
+
+
+def atom_inversion_purity(state):
+    """(atomic_inversion, atom_purity) of each state, from one atom density."""
     rho = _atom_density(state)
-    return np.sum(rho.real**2 + rho.imag**2, axis=(-2, -1))[()]
+    return _inversion(rho), _purity(rho)
 
 
 def mode_overlaps(state, rays) -> np.ndarray:

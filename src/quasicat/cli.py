@@ -30,6 +30,7 @@ from . import __version__
 from .analysis import (
     DensityMatrix,
     PhaseSpaceGrid,
+    atom_inversion_purity,
     atom_purity,
     atomic_inversion,
     husimi_q,
@@ -40,7 +41,10 @@ from .dynamics import (
     HermitianPropagator,
     SystemState,
     _effective_propagate,
+    _effective_rates,
     _jc_propagate,
+    _jc_rates,
+    _phase_factors,
     build_hamiltonian,
     cat_target,
     adiabatic_residual,
@@ -288,10 +292,35 @@ def _atom_amps(cfg) -> np.ndarray:
     return atom
 
 
-def _time_chunks(times: np.ndarray, dim: int):
-    """Consecutive slices of times, each of at most CHUNK_PAIRS // dim times."""
-    step = max(1, CHUNK_PAIRS // dim)
-    return [times[k : k + step] for k in range(0, times.size, step)]
+def _axis_blocks(steps: int, dim: int):
+    """(chunk, span) for a time axis of `steps` times at truncation dim:
+    chunks of at most CHUNK_PAIRS // dim times bound the memory; blocks of
+    `span` times, the fewest whole chunks that hold ceil(sqrt(steps))
+    times, share one anchor row of phase factors."""
+    chunk = max(1, CHUNK_PAIRS // dim)
+    return chunk, chunk * -(-(math.isqrt(steps - 1) + 1) // chunk)
+
+
+def _time_chunks(times: np.ndarray, dim: int, *rate_sets):
+    """Consecutive chunks of a uniform time axis times[k] = k h, as
+    np.linspace(0, T, steps) gives, with the factors e^{i rate t} of each
+    rate set at the chunk's times (see _axis_blocks for the sizes).
+
+    The first row of each block is the anchor e^{i rate times[start]},
+    evaluated directly. Every other row is the anchor times a row of the
+    offset table e^{i rate k h}, k < span, built once. So an axis takes
+    span + ceil(steps / span) rows of exponentials, about 2 sqrt(steps)
+    where a chunk is shorter than sqrt(steps), in place of steps rows.
+    """
+    step, span = _axis_blocks(times.size, dim)
+    offsets = [_phase_factors(rates, times[:span]) for rates in rate_sets]
+    for start in range(0, times.size, step):
+        lag = start % span
+        if lag == 0:
+            anchors = [_phase_factors(rates, times[start]) for rates in rate_sets]
+        chunk = times[start : start + step]
+        rows = slice(lag, lag + chunk.size)
+        yield chunk, *(a * table[rows] for a, table in zip(anchors, offsets))
 
 
 def _sector_blocks(hamiltonian, sectors):
@@ -534,10 +563,10 @@ def run_zero_detuning(cfg: dict) -> RunReport:
     # not renormalized, and the largest deviation is reported
     blocks = []
     worst_norm = 0.0
-    for chunk in _time_chunks(times, dim1):
-        stack = _jc_propagate(state.tensor, rot.g, 0.0, chunk)
+    for chunk, phases in _time_chunks(times, dim1, _jc_rates(rot.g, 0.0, dim1)):
+        stack = _jc_propagate(state.tensor, rot.g, 0.0, phases)
         worst_norm = max(worst_norm, norm_deviation(stack))
-        inversion, purity = atomic_inversion(stack), atom_purity(stack)
+        inversion, purity = atom_inversion_purity(stack)
         fid = mode_overlaps(stack, cats).max(axis=-1)
         blocks.append(
             np.column_stack((chunk, inversion, purity, fid, mode_mean_photon(stack)))
@@ -572,10 +601,11 @@ def run_zero_detuning(cfg: dict) -> RunReport:
     )
 
 
-def _post_state_overlap(plus, minus) -> float:
-    """|<plus|minus>| of the two post-measurement fields; 0 if either is None."""
+def _post_state_overlap(plus, minus) -> Optional[float]:
+    """|<plus|minus>| of the two post-measurement fields; None (JSON null)
+    if either outcome has no post state, as the overlap is then undefined."""
     if plus.post_state is None or minus.post_state is None:
-        return 0.0
+        return None
     return float(abs(np.vdot(plus.post_state.tensor, minus.post_state.tensor)))
 
 
@@ -605,9 +635,10 @@ def run_large_detuning(cfg: dict) -> RunReport:
     times = np.linspace(0.0, t_prime, cfg["t_steps"])
     blocks = []
     worst_norm = 0.0
-    for chunk in _time_chunks(times, dim1):
-        oracle = _jc_propagate(init.tensor, g, delta, chunk)
-        effective = _effective_propagate(init.tensor, g, delta, chunk)
+    rates = _jc_rates(g, delta, dim1), _effective_rates(g, delta, dim1)
+    for chunk, jc_phases, effective_phases in _time_chunks(times, dim1, *rates):
+        oracle = _jc_propagate(init.tensor, g, delta, jc_phases)
+        effective = _effective_propagate(init.tensor, g, delta, effective_phases)
         worst_norm = max(worst_norm, norm_deviation(oracle), norm_deviation(effective))
         overlap = np.sum(np.conj(oracle) * effective, axis=(-3, -2, -1))
         blocks.append(

@@ -217,7 +217,7 @@ class HermitianPropagator:
         if ham.ndim != 2 or ham.shape[0] != ham.shape[1]:
             raise DimensionMismatch("Hamiltonian must be square")
         scale = max(1.0, float(np.abs(ham).max()))
-        if not np.allclose(ham, ham.conj().T, atol=1e-12 * scale):
+        if not np.allclose(ham, ham.conj().T, rtol=0.0, atol=1e-12 * scale):
             raise DimensionMismatch("Hamiltonian is not Hermitian")
         self.energies, self.vectors = np.linalg.eigh(ham)
 
@@ -239,31 +239,56 @@ class HermitianPropagator:
         return SystemState(out.reshape(state.dims), state.basis)
 
 
+def _phase_factors(rates, t) -> np.ndarray:
+    """e^{i rate t} for each rate at each time of a scalar or array t, with
+    t's shape in front of the rates': one complex exponential per cell."""
+    t = np.asarray(t, dtype=np.float64)[(...,) + (None,) * np.ndim(rates)]
+    return np.exp(1j * (rates * t))
+
+
+def _jc_frequencies(g, delta, d):
+    """Rabi frequency sqrt(delta^2 + 4 g^2 (n+1)) of each 2x2 block
+    n < d - 1, taken as a hypot so that it stays finite for every finite
+    delta and g."""
+    return np.hypot(delta, 2.0 * g * np.sqrt(np.arange(1, d, dtype=np.float64)))
+
+
+def _jc_rates(g, delta, d) -> np.ndarray:
+    """The rates whose factors e^{i rate t} _jc_propagate reads: the bare
+    edge phase delta/2 first, then half of each block's Rabi frequency."""
+    return np.concatenate(([0.5 * delta], 0.5 * _jc_frequencies(g, delta, d)))
+
+
 def _jc_propagate(psi, g, delta, t):
     """exp(-iHt) of a (dim_I, batch, 2) quasi-basis tensor under the
     resonant-or-detuned single-mode atom coupling, at each time of a scalar
     or array t, directly from t = 0; the result has t's shape in front.
+    t may also be the factors e^{i rate t} of _jc_rates(g, delta, dim_I),
+    a complex (..., dim_I) array, which a uniform time axis builds without
+    one exponential per cell.
 
     Column 0 is the lower atomic level, column 1 the upper. Pairs
     (n, upper) <-> (n+1, lower) mix inside 2x2 blocks with Rabi frequency
-    sqrt(delta^2 + 4 g^2 (n+1)), taken as a hypot so that it stays finite
-    for every finite delta and g; the lone (0, lower) level and the
-    truncation-edge (dim-1, upper) level only pick up bare detuning phases.
+    omega_n, whose factor e^{i omega_n t / 2} gives the block's cos and sin
+    as its real and imaginary parts; the lone (0, lower) level and the
+    truncation-edge (dim-1, upper) level only pick up the bare detuning
+    phase e^{+-i delta t / 2}.
     """
     d = psi.shape[0]
-    t = np.asarray(t, dtype=np.float64)[..., None, None]
-    out = np.empty(t.shape[:-2] + psi.shape, dtype=np.complex128)
-    edge = np.exp(0.5j * delta * t)
-    out[..., 0, :, 0] = psi[0, :, 0] * edge[..., 0]
-    out[..., d - 1, :, 1] = psi[d - 1, :, 1] * np.conj(edge[..., 0])
+    phases = t
+    if not np.iscomplexobj(t):
+        phases = _phase_factors(_jc_rates(g, delta, d), t)
+    out = np.empty(phases.shape[:-1] + psi.shape, dtype=np.complex128)
+    edge = phases[..., :1]
+    out[..., 0, :, 0] = psi[0, :, 0] * edge
+    out[..., d - 1, :, 1] = psi[d - 1, :, 1] * np.conj(edge)
     if d > 1:
-        n = np.arange(d - 1, dtype=np.float64)[:, None]
-        omega = np.hypot(delta, 2.0 * g * np.sqrt(n + 1.0))
-        half = 0.5 * omega * t
-        co = np.cos(half)
-        si = np.sin(half)
+        root = np.sqrt(np.arange(1, d, dtype=np.float64))[:, None]
+        omega = _jc_frequencies(g, delta, d)[:, None]
+        block = phases[..., 1:, None]
+        co, si = block.real, block.imag
         diag = co - 1j * (delta / omega) * si
-        mix = -2j * g * np.sqrt(n + 1.0) / omega * si
+        mix = -2j * g * root / omega * si
         upper = psi[:-1, :, 1]
         lower = psi[1:, :, 0]
         out[..., :-1, :, 1] = diag * upper + mix * lower
@@ -434,16 +459,23 @@ def evolve_effective(
     return SystemState(_effective_propagate(state.tensor, g, delta, t), QUASI)
 
 
+def _effective_rates(g, delta, d) -> np.ndarray:
+    """The (d, 2) rates whose factors e^{i rate t} _effective_propagate
+    reads: +(delta/2 + g^2 n / delta) for level (n, lower) and
+    -(delta/2 + g^2/delta + g^2 n / delta) for (n, upper)."""
+    n = np.arange(d, dtype=np.float64)
+    shift = g * g / delta
+    return np.stack((0.5 * delta + shift * n, -(0.5 * delta + shift + shift * n)), -1)
+
+
 def _effective_propagate(psi, g, delta, t):
     """evolve_effective's phases on a (dim_I, batch, 2) tensor at each time
-    of a scalar or array t, like _jc_propagate; the ratio is not checked."""
-    t = np.asarray(t, dtype=np.float64)[..., None, None]
-    n = np.arange(psi.shape[0], dtype=np.float64)[:, None]
-    shift = g * g / delta
-    out = np.empty(t.shape[:-2] + psi.shape, dtype=np.complex128)
-    out[..., 0] = psi[..., 0] * np.exp(1j * (0.5 * delta + shift * n) * t)
-    out[..., 1] = psi[..., 1] * np.exp(-1j * (0.5 * delta + shift + shift * n) * t)
-    return out
+    of a scalar or array t, or from the factors of _effective_rates(g, delta,
+    dim_I) at such times, like _jc_propagate; the ratio is not checked."""
+    phases = t
+    if not np.iscomplexobj(t):
+        phases = _phase_factors(_effective_rates(g, delta, psi.shape[0]), t)
+    return psi * phases[..., :, None, :]
 
 
 def measure_atom(state: SystemState, basis: str = "plusminus"):

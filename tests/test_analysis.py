@@ -60,6 +60,13 @@ def test_density_matrix_guards():
         DensityMatrix(np.eye(2), (2,))
 
 
+def test_density_matrix_rejects_an_asymmetry_above_its_tolerance():
+    # 5e-6 is above the 1e-8 Hermiticity tolerance, though inside
+    # np.allclose's default relative one
+    with pytest.raises(DimensionMismatch):
+        DensityMatrix(np.array([[0.5, 0.5], [0.5 + 5e-6, 0.5]]), (2,))
+
+
 def test_partial_trace_product_state_is_pure():
     st = product_state(coherent_state(0.9, 16), basis_state(2, 5), (0.6, 0.8))
     for keep in ("mode1", "mode2", "atom"):

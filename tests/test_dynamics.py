@@ -323,6 +323,13 @@ def test_propagator_rejects_nonhermitian():
         HermitianPropagator(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_propagator_rejects_an_asymmetry_above_its_tolerance():
+    # 5e-6 is far above the 1e-12 tolerance, but inside np.allclose's default
+    # relative one; eigh would read one triangle and drop it
+    with pytest.raises(DimensionMismatch):
+        HermitianPropagator(np.array([[1.0, 1.0], [1.0 + 5e-6, 2.0]]))
+
+
 def test_exact_jc_ground_stationary():
     st = product_state(basis_state(0, 6), basis_state(0, 2), (1.0, 0.0), "quasi")
     out = evolve_exact_jc(st, 3.7, 1.0, 0.0)

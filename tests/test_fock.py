@@ -221,6 +221,11 @@ def test_expm_antihermitian_rejects_hermitian():
         expm_antihermitian(np.eye(3))
 
 
+def test_expm_antihermitian_rejects_an_asymmetry_above_its_tolerance():
+    with pytest.raises(NonFiniteInput):
+        expm_antihermitian(np.array([[0.0, 1.0], [-1.0 - 5e-6, 0.0]]))
+
+
 def test_coherent_overlap_closed_form():
     assert coherent_overlap(1.3 - 0.4j, 1.3 - 0.4j) == pytest.approx(1.0)
     mu = 2.0

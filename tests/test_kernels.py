@@ -4,12 +4,17 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quasicat.cli as cli
 from quasicat.analysis import _coherent_q
+from quasicat.cli import _axis_blocks, _time_chunks
 from quasicat.dynamics import (
     QUASI,
     SystemState,
     _effective_propagate,
+    _effective_rates,
     _jc_propagate,
+    _jc_rates,
+    _phase_factors,
     evolve_exact_jc,
 )
 from quasicat.fock import coherent_state, ladder_matrix
@@ -116,6 +121,85 @@ def test_time_axis_equals_scalar_calls(dim, g, delta, times, seed):
         assert np.abs(jc[k] - evolve_exact_jc(state, t, g, delta).tensor).max() <= 1e-14
         scalar = _effective_propagate(psi, g, dispersive, t)
         assert np.abs(effective[k] - scalar).max() <= 1e-14
+
+
+def _check_uniform_axis(dim, g, delta, t_max, steps, seed):
+    # the factors from the anchor and offset table against direct evaluation
+    # at each t_k: anchor rows bit for bit, the others within one rounding of
+    # the largest phase argument on the axis; both kernels then read them
+    # like the scalar call at t_k
+    psi = _random_state(np.random.default_rng(seed), dim, 1)
+    dispersive = np.copysign(abs(delta) + 5.0 * g, delta)
+    rates = _jc_rates(g, delta, dim), _effective_rates(g, dispersive, dim)
+    times = np.linspace(0.0, t_max, steps)
+    chunks = list(_time_chunks(times, dim, *rates))
+    step, span = _axis_blocks(steps, dim)
+    sizes = [min(step, steps - k) for k in range(0, steps, step)]
+    assert [chunk.size for chunk, _, _ in chunks] == sizes
+    assert np.array_equal(np.concatenate([chunk for chunk, _, _ in chunks]), times)
+    eps = np.finfo(float).eps
+    bound = 1e-14 + 8.0 * eps * max(np.abs(r).max() for r in rates) * t_max
+    for track, r in enumerate(rates):
+        factors = np.concatenate([chunk[1 + track] for chunk in chunks])
+        direct = _phase_factors(r, times)
+        assert np.array_equal(factors[::span], direct[::span])
+        assert np.abs(factors - direct).max() <= bound
+    jc = np.concatenate([_jc_propagate(psi, g, delta, f) for _, f, _ in chunks])
+    effective = np.concatenate(
+        [_effective_propagate(psi, g, dispersive, f) for _, _, f in chunks]
+    )
+    for k, t in enumerate(times):
+        scalar = _jc_propagate(psi, g, delta, t)
+        assert np.abs(jc[k] - scalar).max() <= 2.0 * bound
+        scalar = _effective_propagate(psi, g, dispersive, t)
+        assert np.abs(effective[k] - scalar).max() <= bound
+
+
+@pytest.mark.parametrize(
+    "dim, steps",
+    [
+        (12, 2),  # the shortest axis
+        (30, 100),  # not a whole number of 68-time chunks
+        (1100, 150),  # CHUNK_PAIRS // dim == 1: one time per chunk
+    ],
+)
+def test_uniform_axis_edge_cases(dim, steps):
+    _check_uniform_axis(dim, 0.9, 2.5, 400.0, steps, 5)
+
+
+@pytest.mark.parametrize(
+    "dim, steps, expected",
+    [(30, 100, 68 + 2), (88, 400, 23 + 18), (1670, 2000, 45 + 45)],
+)
+def test_uniform_axis_evaluates_offset_and_anchor_rows_only(
+    monkeypatch, dim, steps, expected
+):
+    # the offset table's rows plus one anchor row per block, against one
+    # row per time when each time is evaluated directly
+    rows = []
+
+    def counted(rates, t):
+        rows.append(np.size(t))
+        return _phase_factors(rates, t)
+
+    monkeypatch.setattr(cli, "_phase_factors", counted)
+    times = np.linspace(0.0, 50.0, steps)
+    for _ in _time_chunks(times, dim, _jc_rates(1.0, 0.0, dim)):
+        pass
+    assert sum(rows) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.one_of(st.integers(2, 60), st.integers(1025, 1100)),
+    g=st.floats(0.05, 2.0, exclude_min=True),
+    delta=st.floats(-15.0, 15.0),
+    t_max=st.floats(0.0, 2000.0),
+    steps=st.integers(2, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_uniform_axis_equals_scalar_calls(dim, g, delta, t_max, steps, seed):
+    _check_uniform_axis(dim, g, delta, t_max, steps, seed)
 
 
 def test_husimi_grid_against_coherent_overlap():

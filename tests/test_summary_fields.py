@@ -97,6 +97,20 @@ def test_large_detuning_plusminus_outcomes(tmp_path):
     assert s["post_state_overlap"] == pytest.approx(overlap, abs=1e-15)
 
 
+def test_missing_post_state_overlap_is_null(tmp_path):
+    # the dispersive model keeps an atom that starts upper in the upper level,
+    # so the energy basis leaves no minus post state and no overlap to report;
+    # the exact evolution leaks a little into the lower level and keeps one
+    s, _ = _run(
+        tmp_path, "upper", "large-detuning", "--gamma-re", "0",
+        "--delta-amp-re", "1", "--basis", "energy",
+    )  # fmt: skip
+    assert s["prob_minus"] == 0.0
+    assert s["post_state_overlap"] is None
+    assert s["oracle_prob_minus"] > 1e-3
+    assert 0.0 < s["oracle_post_state_overlap"] < 1.0
+
+
 @pytest.mark.parametrize("basis", ["energy", "plusminus"])
 def test_large_detuning_oracle_outcomes_match_dense_evolution(tmp_path, basis):
     s, _ = _large_detuning(tmp_path, basis)
