@@ -40,11 +40,10 @@ from .analysis import (
 from .dynamics import (
     HermitianPropagator,
     SystemState,
-    _effective_propagate,
-    _effective_rates,
-    _jc_propagate,
-    _jc_rates,
+    _effective_model,
+    _jc_model,
     _phase_factors,
+    _propagate,
     build_hamiltonian,
     cat_target,
     adiabatic_residual,
@@ -563,8 +562,9 @@ def run_zero_detuning(cfg: dict) -> RunReport:
     # not renormalized, and the largest deviation is reported
     blocks = []
     worst_norm = 0.0
-    for chunk, phases in _time_chunks(times, dim1, _jc_rates(rot.g, 0.0, dim1)):
-        stack = _jc_propagate(state.tensor, rot.g, 0.0, phases)
+    rates, field = _jc_model(state.tensor, rot.g, 0.0)
+    for chunk, factors in _time_chunks(times, dim1, rates):
+        stack = _propagate(state.tensor, field, factors)
         worst_norm = max(worst_norm, norm_deviation(stack))
         inversion, purity = atom_inversion_purity(stack)
         fid = mode_overlaps(stack, cats).max(axis=-1)
@@ -635,10 +635,13 @@ def run_large_detuning(cfg: dict) -> RunReport:
     times = np.linspace(0.0, t_prime, cfg["t_steps"])
     blocks = []
     worst_norm = 0.0
-    rates = _jc_rates(g, delta, dim1), _effective_rates(g, delta, dim1)
-    for chunk, jc_phases, effective_phases in _time_chunks(times, dim1, *rates):
-        oracle = _jc_propagate(init.tensor, g, delta, jc_phases)
-        effective = _effective_propagate(init.tensor, g, delta, effective_phases)
+    jc_rates, jc_field = _jc_model(init.tensor, g, delta)
+    effective_rates, effective_field = _effective_model(init.tensor, g, delta)
+    for chunk, jc_factors, effective_factors in _time_chunks(
+        times, dim1, jc_rates, effective_rates
+    ):
+        oracle = _propagate(init.tensor, jc_field, jc_factors)
+        effective = _propagate(init.tensor, effective_field, effective_factors)
         worst_norm = max(worst_norm, norm_deviation(oracle), norm_deviation(effective))
         overlap = np.sum(np.conj(oracle) * effective, axis=(-3, -2, -1))
         blocks.append(

@@ -246,54 +246,43 @@ def _phase_factors(rates, t) -> np.ndarray:
     return np.exp(1j * (rates * t))
 
 
-def _jc_frequencies(g, delta, d):
-    """Rabi frequency sqrt(delta^2 + 4 g^2 (n+1)) of each 2x2 block
-    n < d - 1, taken as a hypot so that it stays finite for every finite
-    delta and g."""
-    return np.hypot(delta, 2.0 * g * np.sqrt(np.arange(1, d, dtype=np.float64)))
+def _propagate(psi, field, factors):
+    """exp(-iHt) of a (dim_I, batch, 2) quasi-basis tensor psi, directly from
+    t = 0, as cos(rate t) psi + sin(rate t) field: every block of either
+    model has eigenvalues +-rate, so exp(-iHt) = cos(rate t) - i sin(rate t)
+    H / rate on it. factors are e^{i rate t} of the model's (dim_I, 2) rates
+    at one time, or with a leading axis of times that the result keeps in
+    front; field is the model's fixed -i H psi / rate (see _jc_model)."""
+    factors = factors[..., :, None, :]
+    return factors.real * psi + factors.imag * field
 
 
-def _jc_rates(g, delta, d) -> np.ndarray:
-    """The rates whose factors e^{i rate t} _jc_propagate reads: the bare
-    edge phase delta/2 first, then half of each block's Rabi frequency."""
-    return np.concatenate(([0.5 * delta], 0.5 * _jc_frequencies(g, delta, d)))
-
-
-def _jc_propagate(psi, g, delta, t):
-    """exp(-iHt) of a (dim_I, batch, 2) quasi-basis tensor under the
-    resonant-or-detuned single-mode atom coupling, at each time of a scalar
-    or array t, directly from t = 0; the result has t's shape in front.
-    t may also be the factors e^{i rate t} of _jc_rates(g, delta, dim_I),
-    a complex (..., dim_I) array, which a uniform time axis builds without
-    one exponential per cell.
+def _jc_model(psi, g, delta):
+    """(rates, field) of psi under the resonant-or-detuned single-mode atom
+    coupling, both laid out like psi's levels.
 
     Column 0 is the lower atomic level, column 1 the upper. Pairs
-    (n, upper) <-> (n+1, lower) mix inside 2x2 blocks with Rabi frequency
-    omega_n, whose factor e^{i omega_n t / 2} gives the block's cos and sin
-    as its real and imaginary parts; the lone (0, lower) level and the
-    truncation-edge (dim-1, upper) level only pick up the bare detuning
-    phase e^{+-i delta t / 2}.
+    (n, upper) <-> (n+1, lower) form 2x2 blocks of eigenvalues +-omega_n / 2,
+    with the Rabi frequency omega_n = sqrt(delta^2 + 4 g^2 (n+1)) taken as
+    a hypot; the field is formed from the ratios delta / omega_n and
+    2 g sqrt(n+1) / omega_n, so it stays finite for every finite delta and
+    g. The lone (0, lower) level and the truncation-edge (dim-1, upper)
+    level are 1x1 blocks -+delta/2, whose field is +-i psi.
     """
     d = psi.shape[0]
-    phases = t
-    if not np.iscomplexobj(t):
-        phases = _phase_factors(_jc_rates(g, delta, d), t)
-    out = np.empty(phases.shape[:-1] + psi.shape, dtype=np.complex128)
-    edge = phases[..., :1]
-    out[..., 0, :, 0] = psi[0, :, 0] * edge
-    out[..., d - 1, :, 1] = psi[d - 1, :, 1] * np.conj(edge)
-    if d > 1:
-        root = np.sqrt(np.arange(1, d, dtype=np.float64))[:, None]
-        omega = _jc_frequencies(g, delta, d)[:, None]
-        block = phases[..., 1:, None]
-        co, si = block.real, block.imag
-        diag = co - 1j * (delta / omega) * si
-        mix = -2j * g * root / omega * si
-        upper = psi[:-1, :, 1]
-        lower = psi[1:, :, 0]
-        out[..., :-1, :, 1] = diag * upper + mix * lower
-        out[..., 1:, :, 0] = mix * upper + np.conj(diag) * lower
-    return out
+    coupling = 2.0 * g * np.sqrt(np.arange(1, d, dtype=np.float64))
+    omega = np.hypot(delta, coupling)
+    rates = np.empty((d, 2))
+    rates[0, 0] = rates[-1, 1] = 0.5 * delta
+    rates[:-1, 1] = rates[1:, 0] = 0.5 * omega
+    detuning, coupling = (delta / omega)[:, None], (coupling / omega)[:, None]
+    upper, lower = psi[:-1, :, 1], psi[1:, :, 0]
+    field = np.empty(psi.shape, dtype=np.complex128)
+    field[0, :, 0] = 1j * psi[0, :, 0]
+    field[-1, :, 1] = -1j * psi[-1, :, 1]
+    field[:-1, :, 1] = -1j * (detuning * upper + coupling * lower)
+    field[1:, :, 0] = 1j * (detuning * lower - coupling * upper)
+    return rates, field
 
 
 def evolve_exact_jc(
@@ -308,7 +297,8 @@ def evolve_exact_jc(
         raise BasisMismatch("evolve_exact_jc expects a quasi-basis state")
     if state.tensor.shape[2] != 2:
         raise DimensionMismatch("state needs an atom axis of size 2")
-    out = _jc_propagate(state.tensor, float(g), float(delta), float(t))
+    rates, field = _jc_model(state.tensor, float(g), float(delta))
+    out = _propagate(state.tensor, field, _phase_factors(rates, float(t)))
     return SystemState(out, QUASI)
 
 
@@ -456,26 +446,18 @@ def evolve_effective(
     if state.tensor.shape[2] != 2:
         raise DimensionMismatch("state needs an atom axis of size 2")
     _check_dispersive(abs(g), (delta,))
-    return SystemState(_effective_propagate(state.tensor, g, delta, t), QUASI)
+    rates, field = _effective_model(state.tensor, g, delta)
+    return SystemState(_propagate(state.tensor, field, _phase_factors(rates, t)), QUASI)
 
 
-def _effective_rates(g, delta, d) -> np.ndarray:
-    """The (d, 2) rates whose factors e^{i rate t} _effective_propagate
-    reads: +(delta/2 + g^2 n / delta) for level (n, lower) and
-    -(delta/2 + g^2/delta + g^2 n / delta) for (n, upper)."""
-    n = np.arange(d, dtype=np.float64)
+def _effective_model(psi, g, delta):
+    """(rates, field) of evolve_effective on psi, its phase rates signed so
+    that every level is a 1x1 block of field i psi; the ratio is not
+    checked."""
+    n = np.arange(psi.shape[0], dtype=np.float64)
     shift = g * g / delta
-    return np.stack((0.5 * delta + shift * n, -(0.5 * delta + shift + shift * n)), -1)
-
-
-def _effective_propagate(psi, g, delta, t):
-    """evolve_effective's phases on a (dim_I, batch, 2) tensor at each time
-    of a scalar or array t, or from the factors of _effective_rates(g, delta,
-    dim_I) at such times, like _jc_propagate; the ratio is not checked."""
-    phases = t
-    if not np.iscomplexobj(t):
-        phases = _phase_factors(_effective_rates(g, delta, psi.shape[0]), t)
-    return psi * phases[..., :, None, :]
+    rates = np.stack((0.5 * delta + shift * n, -(0.5 * delta + shift + shift * n)), -1)
+    return rates, 1j * psi
 
 
 def measure_atom(state: SystemState, basis: str = "plusminus"):

@@ -752,11 +752,11 @@ def test_qfunc_at_nbar_200_with_automatic_dim(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "scenario, kernel",
+    "scenario, model",
     [
-        ("zero-detuning", "_jc_propagate"),
-        ("large-detuning", "_jc_propagate"),
-        ("large-detuning", "_effective_propagate"),
+        ("zero-detuning", "_jc_model"),
+        ("large-detuning", "_jc_model"),
+        ("large-detuning", "_effective_model"),
     ],
 )
 @pytest.mark.parametrize(
@@ -767,25 +767,35 @@ def test_qfunc_at_nbar_200_with_automatic_dim(tmp_path):
     ],
 )
 def test_broken_time_axis_is_numeric_error(
-    tmp_path, capsys, monkeypatch, scenario, kernel, fault, cause
+    tmp_path, capsys, monkeypatch, scenario, model, fault, cause
 ):
     # the time axis is checked, not renormalized: a NaN or a norm off by 1e-5
-    # on any one time ends the run with exit 3 and names the cause
-    original = getattr(cli, kernel)
+    # on any one time of one track ends the run with exit 3 and names the
+    # cause; only the axis calls with the given model's field are broken
+    fields = []
+    build, propagate = getattr(cli, model), cli._propagate
 
-    def broken(psi, g, delta, t):
-        out = original(psi, g, delta, t)
-        if fault == "nan":
-            out[-1, 0, 0, 0] = np.nan
-        else:
-            out[-1] *= 1.0 + 1e-5
+    def recorded(*args):
+        rates, field = build(*args)
+        fields.append(field)
+        return rates, field
+
+    def broken(psi, field, factors):
+        out = propagate(psi, field, factors)
+        if any(field is f for f in fields):
+            if fault == "nan":
+                out[-1, 0, 0, 0] = np.nan
+            else:
+                out[-1] *= 1.0 + 1e-5
         return out
 
-    monkeypatch.setattr(cli, kernel, broken)
+    monkeypatch.setattr(cli, model, recorded)
+    monkeypatch.setattr(cli, "_propagate", broken)
     out = tmp_path / "o"
     assert main([scenario, "--out", str(out), "--t-steps", "7"]) == 3
     assert cause in capsys.readouterr().err
     assert not out.exists()
+    assert len(fields) == 1
 
 
 def test_main_parses_with_one_parser_and_no_shared_state(tmp_path):

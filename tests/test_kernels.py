@@ -10,14 +10,19 @@ from quasicat.cli import _axis_blocks, _time_chunks
 from quasicat.dynamics import (
     QUASI,
     SystemState,
-    _effective_propagate,
-    _effective_rates,
-    _jc_propagate,
-    _jc_rates,
+    _effective_model,
+    _jc_model,
     _phase_factors,
+    _propagate,
     evolve_exact_jc,
 )
 from quasicat.fock import coherent_state, ladder_matrix
+
+
+def _evolve(model, psi, g, delta, t):
+    """model's evolution of psi at a scalar t or an array of times."""
+    rates, field = model(psi, g, delta)
+    return _propagate(psi, field, _phase_factors(rates, t))
 
 
 def _random_state(rng, dim, batch):
@@ -56,7 +61,7 @@ JC_CASES = {
 
 def _check_matches_expm(dim, g, delta, t, batch, seed):
     psi = _random_state(np.random.default_rng(seed), dim, batch)
-    out = _jc_propagate(psi, g, delta, t)
+    out = _evolve(_jc_model, psi, g, delta, t)
     u = scipy.linalg.expm(-1j * t * _jc_hamiltonian(dim, g, delta))
     for j in range(batch):
         expected = (u @ psi[:, j, :].ravel()).reshape(dim, 2)
@@ -67,35 +72,45 @@ def _check_matches_expm(dim, g, delta, t, batch, seed):
 @pytest.mark.parametrize("delta", [0.0, 0.7, 12.0])
 @settings(max_examples=50, deadline=None)
 @given(**{k: v for k, v in JC_CASES.items() if k != "delta"})
-def test_jc_propagate_matches_expm(delta, dim, g, t, batch, seed):
+def test_jc_propagation_matches_expm(delta, dim, g, t, batch, seed):
     _check_matches_expm(dim, g, delta, t, batch, seed)
 
 
 @settings(max_examples=100, deadline=None)
 @given(**JC_CASES)
-def test_jc_propagate_matches_expm_any_detuning(dim, g, delta, t, batch, seed):
+def test_jc_propagation_matches_expm_any_detuning(dim, g, delta, t, batch, seed):
     _check_matches_expm(dim, g, delta, t, batch, seed)
 
 
 @settings(max_examples=100, deadline=None)
 @given(**JC_CASES)
-def test_jc_propagate_preserves_norm(dim, g, delta, t, batch, seed):
+def test_jc_propagation_preserves_norm(dim, g, delta, t, batch, seed):
     psi = _random_state(np.random.default_rng(seed), dim, batch)
-    out = _jc_propagate(psi, g, delta, t)
+    out = _evolve(_jc_model, psi, g, delta, t)
     assert abs(np.linalg.norm(out) - 1.0) < 1e-12
     # the coupling only mixes (n, upper) with (n + 1, lower)
     drift = _excitation_distribution(out) - _excitation_distribution(psi)
     assert np.abs(drift).max() < 1e-12
 
 
-def test_jc_propagate_batch_axis_is_independent():
+def test_jc_propagation_batch_axis_is_independent():
     # evolving a batch equals evolving each column separately
     rng = np.random.default_rng(8)
     psi = _random_state(rng, 12, 4)
-    out = _jc_propagate(psi, 1.1, 0.3, 1.9)
+    out = _evolve(_jc_model, psi, 1.1, 0.3, 1.9)
     for j in range(4):
-        single = _jc_propagate(psi[:, j : j + 1, :].copy(), 1.1, 0.3, 1.9)
+        single = _evolve(_jc_model, psi[:, j : j + 1, :].copy(), 1.1, 0.3, 1.9)
         assert np.abs(out[:, j : j + 1, :] - single).max() < 1e-13
+
+
+@pytest.mark.parametrize("g, delta", [(1e150, 1.0), (1.0, 1e300), (1e-300, 0.0)])
+def test_jc_field_stays_finite_at_extreme_couplings(g, delta):
+    # the field comes from the ratios delta / omega and 2 g sqrt(n+1) / omega;
+    # H / rate squares to 1 on each block, so the field keeps psi's norm
+    psi = _random_state(np.random.default_rng(3), 20, 2)
+    rates, field = _jc_model(psi, g, delta)
+    assert np.all(np.isfinite(rates)) and np.all(np.isfinite(field))
+    assert abs(np.linalg.norm(field) - 1.0) < 1e-12
 
 
 @settings(max_examples=100, deadline=None)
@@ -110,16 +125,16 @@ def test_time_axis_equals_scalar_calls(dim, g, delta, times, seed):
     # each time on the axis is the scalar call at that time, for both models
     psi = _random_state(np.random.default_rng(seed), dim, 1)
     times = np.array(times)
-    jc = _jc_propagate(psi, g, delta, times)
+    jc = _evolve(_jc_model, psi, g, delta, times)
     assert jc.shape == (times.size, dim, 1, 2)
     state = SystemState(psi, QUASI)
     # the dispersive model is refused below |delta| = 5 g
     dispersive = np.copysign(abs(delta) + 5.0 * g, delta)
-    effective = _effective_propagate(psi, g, dispersive, times)
+    effective = _evolve(_effective_model, psi, g, dispersive, times)
     for k, t in enumerate(times):
-        assert np.abs(jc[k] - _jc_propagate(psi, g, delta, t)).max() <= 1e-14
+        assert np.abs(jc[k] - _evolve(_jc_model, psi, g, delta, t)).max() <= 1e-14
         assert np.abs(jc[k] - evolve_exact_jc(state, t, g, delta).tensor).max() <= 1e-14
-        scalar = _effective_propagate(psi, g, dispersive, t)
+        scalar = _evolve(_effective_model, psi, g, dispersive, t)
         assert np.abs(effective[k] - scalar).max() <= 1e-14
 
 
@@ -130,7 +145,10 @@ def _check_uniform_axis(dim, g, delta, t_max, steps, seed):
     # like the scalar call at t_k
     psi = _random_state(np.random.default_rng(seed), dim, 1)
     dispersive = np.copysign(abs(delta) + 5.0 * g, delta)
-    rates = _jc_rates(g, delta, dim), _effective_rates(g, dispersive, dim)
+    # (model, detuning, scale of the bound on the propagated state)
+    tracks = ((_jc_model, delta, 2.0), (_effective_model, dispersive, 1.0))
+    models = [model(psi, g, d) for model, d, _ in tracks]
+    rates = [r for r, _ in models]
     times = np.linspace(0.0, t_max, steps)
     chunks = list(_time_chunks(times, dim, *rates))
     step, span = _axis_blocks(steps, dim)
@@ -139,20 +157,15 @@ def _check_uniform_axis(dim, g, delta, t_max, steps, seed):
     assert np.array_equal(np.concatenate([chunk for chunk, _, _ in chunks]), times)
     eps = np.finfo(float).eps
     bound = 1e-14 + 8.0 * eps * max(np.abs(r).max() for r in rates) * t_max
-    for track, r in enumerate(rates):
+    for track, ((model, d, scale), (r, field)) in enumerate(zip(tracks, models)):
         factors = np.concatenate([chunk[1 + track] for chunk in chunks])
         direct = _phase_factors(r, times)
         assert np.array_equal(factors[::span], direct[::span])
         assert np.abs(factors - direct).max() <= bound
-    jc = np.concatenate([_jc_propagate(psi, g, delta, f) for _, f, _ in chunks])
-    effective = np.concatenate(
-        [_effective_propagate(psi, g, dispersive, f) for _, _, f in chunks]
-    )
-    for k, t in enumerate(times):
-        scalar = _jc_propagate(psi, g, delta, t)
-        assert np.abs(jc[k] - scalar).max() <= 2.0 * bound
-        scalar = _effective_propagate(psi, g, dispersive, t)
-        assert np.abs(effective[k] - scalar).max() <= bound
+        stack = _propagate(psi, field, factors)
+        for k, t in enumerate(times):
+            scalar = _evolve(model, psi, g, d, t)
+            assert np.abs(stack[k] - scalar).max() <= scale * bound
 
 
 @pytest.mark.parametrize(
@@ -184,7 +197,7 @@ def test_uniform_axis_evaluates_offset_and_anchor_rows_only(
 
     monkeypatch.setattr(cli, "_phase_factors", counted)
     times = np.linspace(0.0, 50.0, steps)
-    for _ in _time_chunks(times, dim, _jc_rates(1.0, 0.0, dim)):
+    for _ in _time_chunks(times, dim, _jc_model(np.zeros((dim, 1, 2)), 1.0, 0.0)[0]):
         pass
     assert sum(rows) == expected
 
