@@ -40,6 +40,7 @@ from .analysis import (
 from .dynamics import (
     HermitianPropagator,
     SystemState,
+    NORM_TOL,
     _effective_model,
     _jc_model,
     _phase_factors,
@@ -66,6 +67,7 @@ from .errors import (
     NonFiniteInput,
     NonFiniteOutput,
     NormViolation,
+    ParameterOutOfRange,
     QuasicatError,
 )
 from .fock import LEAK_TOL, basis_state, coherent_dim, coherent_nbar, coherent_state
@@ -322,6 +324,18 @@ def _time_chunks(times: np.ndarray, dim: int, *rate_sets):
         yield chunk, *(a * table[rows] for a, table in zip(anchors, offsets))
 
 
+def _check_resolved(key: str, t_max: float, *rate_sets):
+    """Refuse a time axis up to t_max whose largest phase |rate t| doubles
+    resolve no better than NORM_TOL: there one ulp of the key moves the
+    state by more than a norm check allows."""
+    phase = t_max * max(float(np.abs(rates).max()) for rates in rate_sets)
+    if not sys.float_info.epsilon * phase <= NORM_TOL:
+        raise ParameterOutOfRange(
+            f"{key}: phase arguments |rate t| up to {phase:.3g} are not"
+            f" resolved to {NORM_TOL:g} in double precision"
+        )
+
+
 def _sector_blocks(hamiltonian, sectors):
     """Dense block of each excitation sector from (rows, cols, values)
     triplets, duplicates summed, and the triplets whose ends lie in
@@ -563,6 +577,7 @@ def run_zero_detuning(cfg: dict) -> RunReport:
     blocks = []
     worst_norm = 0.0
     rates, field = _jc_model(state.tensor, rot.g, 0.0)
+    _check_resolved("t_max", t_max, rates)
     for chunk, factors in _time_chunks(times, dim1, rates):
         stack = _propagate(state.tensor, field, factors)
         worst_norm = max(worst_norm, norm_deviation(stack))
@@ -637,6 +652,7 @@ def run_large_detuning(cfg: dict) -> RunReport:
     worst_norm = 0.0
     jc_rates, jc_field = _jc_model(init.tensor, g, delta)
     effective_rates, effective_field = _effective_model(init.tensor, g, delta)
+    _check_resolved("ratio", t_prime, jc_rates, effective_rates)
     for chunk, jc_factors, effective_factors in _time_chunks(
         times, dim1, jc_rates, effective_rates
     ):

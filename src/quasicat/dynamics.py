@@ -275,13 +275,13 @@ def _jc_model(psi, g, delta):
     rates = np.empty((d, 2))
     rates[0, 0] = rates[-1, 1] = 0.5 * delta
     rates[:-1, 1] = rates[1:, 0] = 0.5 * omega
-    detuning, coupling = (delta / omega)[:, None], (coupling / omega)[:, None]
+    detune, mix = (delta / omega)[:, None], (coupling / omega)[:, None]
     upper, lower = psi[:-1, :, 1], psi[1:, :, 0]
     field = np.empty(psi.shape, dtype=np.complex128)
     field[0, :, 0] = 1j * psi[0, :, 0]
     field[-1, :, 1] = -1j * psi[-1, :, 1]
-    field[:-1, :, 1] = -1j * (detuning * upper + coupling * lower)
-    field[1:, :, 0] = 1j * (detuning * lower - coupling * upper)
+    field[:-1, :, 1] = -1j * (detune * upper + mix * lower)
+    field[1:, :, 0] = 1j * (detune * lower - mix * upper)
     return rates, field
 
 

@@ -223,7 +223,7 @@ def expm_antihermitian(gen: np.ndarray) -> ComplexMatrix:
     herm = 1j * gen
     scale = max(1.0, float(np.abs(herm).max()))
     if not np.allclose(herm, herm.conj().T, rtol=0.0, atol=1e-12 * scale):
-        raise NonFiniteInput("generator is not antihermitian")
+        raise DimensionMismatch("generator is not antihermitian")
     w, vecs = np.linalg.eigh(herm)
     return (vecs * np.exp(-1j * w)) @ vecs.conj().T
 

@@ -20,7 +20,12 @@ from quasicat.dynamics import (
     excitation_diagonal,
 )
 from quasicat.errors import BothCouplingsZero, DimTooSmall, QuasicatError
-from quasicat.fock import ComplexMatrix, expm_antihermitian, ladder_matrix
+from quasicat.fock import (
+    ComplexMatrix,
+    coherent_state,
+    expm_antihermitian,
+    ladder_matrix,
+)
 from quasicat.modes import decouple_params
 
 
@@ -281,6 +286,32 @@ def elimination_operator_residuals(g: float, delta: float, dim: int, n_max: int)
             - 2.0 * lam * lam * (sp @ sm),
         ),
     }
+
+
+def dispersive_coherent_state(
+    t: float,
+    mu: complex,
+    gamma: complex,
+    delta_amp: complex,
+    g: float,
+    delta: float,
+    dim: int,
+) -> np.ndarray:
+    """Closed form of the dispersive evolution of |mu>(gamma|lower> +
+    delta_amp|upper>) on quasi mode I, as a (dim, 1, 2) tensor:
+    gamma e^{i delta t/2} |mu e^{i chi t}>|lower> +
+    delta_amp e^{-i (delta/2 + chi) t} |mu e^{-i chi t}>|upper>, chi = g^2/delta.
+
+    The photon-number phases e^{+-i chi n t} only rotate the coherent
+    amplitude, and a truncated coherent state rotates with it."""
+    chi = g * g / delta
+    lower = gamma * np.exp(0.5j * delta * t) * coherent_state(
+        mu * np.exp(1j * chi * t), dim
+    ).amps
+    upper = delta_amp * np.exp(-1j * (0.5 * delta + chi) * t) * coherent_state(
+        mu * np.exp(-1j * chi * t), dim
+    ).amps
+    return np.stack([lower, upper], axis=-1)[:, None, :]
 
 
 def grid_peaks_loop(grid, top: int = 2, min_separation: float = 0.5):

@@ -798,6 +798,40 @@ def test_broken_time_axis_is_numeric_error(
     assert len(fields) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        # prob_plus read 0.744, 0.655 and 0.355 at this ratio and its next
+        # two ulps, and the final inversion -0.305 and +0.163 one ulp apart
+        # at this t_max: noise, with exit 0
+        (["large-detuning", "--nbar", "0.5", "--ratio", "1e8"], "ratio"),
+        (["zero-detuning", "--nbar", "9", "--t-max", "1e17"], "t_max"),
+        # |rate t| reaches 7.9e9, where prob_plus moved 6e-7 per ulp
+        (["large-detuning", "--ratio", "1e5"], "ratio"),
+    ],
+)
+def test_phases_doubles_cannot_resolve_are_refused(tmp_path, capsys, argv, named):
+    out = tmp_path / "o"
+    assert main([*argv, "--t-steps", "3", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"run error (ParameterOutOfRange): {named}: phase")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the long axes of the CI smoke step reach |rate t| of about 7.9e5
+        ["large-detuning", "--nbar", "36", "--ratio", "1000"],
+        ["zero-detuning", "--nbar", "25", "--t-max", "2000"],
+        # eps |rate t| = 4.4e-7 at t', under the 1e-6 bound
+        ["large-detuning", "--ratio", "5e4"],
+    ],
+)
+def test_phases_doubles_resolve_pass(tmp_path, argv):
+    assert main([*argv, "--t-steps", "3", "--out", str(tmp_path / "o")]) == 0
+
+
 def test_main_parses_with_one_parser_and_no_shared_state(tmp_path):
     # the parser is built once, on the first main call; each call still
     # starts from the defaults of its own scenario

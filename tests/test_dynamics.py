@@ -616,6 +616,38 @@ def test_effective_matches_oracle_matrix():
     assert abs(np.vdot(slow.tensor, fast.tensor)) ** 2 >= 1.0 - 1e-10
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    nbar=strategies.floats(0.5, 60.0),
+    g=strategies.floats(0.1, 10.0),
+    ratio=strategies.floats(10.0, 200.0),
+    sign=strategies.sampled_from([1.0, -1.0]),
+    fraction=strategies.floats(0.0, 1.0),
+    theta=strategies.floats(0.0, 0.5 * math.pi),
+    phi=strategies.floats(0.0, 2.0 * math.pi),
+)
+# all on the lower level at t': a phase error of 1e-9 per photon number
+# there moves the amplitudes by about 1.6e-9
+@example(nbar=0.5, g=1.0, ratio=200.0, sign=1.0, fraction=1.0, theta=0.0, phi=0.0)
+def test_effective_matches_dispersive_closed_form(
+    nbar, g, ratio, sign, fraction, theta, phi
+):
+    delta = sign * ratio * g
+    t = fraction * math.pi * abs(delta) / (2.0 * g * g)
+    mu = math.sqrt(nbar)
+    gamma, delta_amp = math.cos(theta), math.sin(theta) * np.exp(1j * phi)
+    dim = coherent_dim(mu)
+    st = product_state(
+        coherent_state(mu, dim), basis_state(0, 1), (gamma, delta_amp), "quasi"
+    )
+    out = evolve_effective(st, t, g, delta).tensor
+    expected = oracles.dispersive_coherent_state(t, mu, gamma, delta_amp, g, delta, dim)
+    # one rounding of the largest phase argument |rate t| on either level
+    rate = 0.5 * abs(delta) + g * g / abs(delta) * dim
+    bound = 1e-14 + 8.0 * np.finfo(float).eps * rate * t
+    assert np.abs(out - expected).max() <= bound
+
+
 def test_effective_detuning_guards():
     st = product_state(coherent_state(1.0, 16), basis_state(0, 2), (1.0, 0.0), "quasi")
     with pytest.raises(DetuningTooSmall):
