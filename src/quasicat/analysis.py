@@ -24,17 +24,6 @@ SUBSYSTEMS = ("mode1", "mode2", "atom")
 # Eigenvalues below this are roundoff negativity and skipped in x ln x.
 ENTROPY_CLAMP = 1e-14
 
-# Husimi kernel: Fock levels summed per block, and the bytes that one chunk of
-# grid points may hold in its (block x points) terms and in its (r x points)
-# running sums each; 8 MiB is 8192 points for a ket.
-HUSIMI_BLOCK = 64
-HUSIMI_CHUNK_BYTES = 8 << 20
-
-# Within a block the terms grow by at most |alpha| per level; the block is
-# cut so that growth stays below e^HUSIMI_LOG_GROWTH, far from overflow.
-HUSIMI_LOG_GROWTH = 300.0
-
-
 @dataclass
 class DensityMatrix:
     """Hermitian PSD matrix of unit trace over one or more subsystems.
@@ -277,54 +266,6 @@ def _as_axis(spec, default_limit: float, count: int) -> np.ndarray:
     raise GridTooSmall("axis needs at least two points")
 
 
-def _coherent_q(weights, vectors, alphas) -> np.ndarray:
-    """sum_k weights[k] |<alpha|v_k>|^2 / pi at each alpha, for the columns
-    v_k of vectors (d, r): Q of rho = sum_k weights[k] v_k v_k^dagger.
-
-    <alpha|v> = e^{-|alpha|^2/2} sum_n conj(alpha)^n / sqrt(n!) v_n. The
-    factor e^{-|alpha|^2/2} starts a log-scale per point, and the terms run
-    from 1 by the recurrence over n, a block of levels at a time. After each
-    block the last term and the running sums are divided by max(1, |term|)
-    and the log-scale takes the factor, so e^{-|alpha|^2/2} never underflows
-    on its own. Nor does a sum overflow: the terms peak near n = |alpha|^2
-    at e^{|alpha|^2/2} and fall by at most e^{B^2/(4|alpha|^2)} over the B
-    levels after it, so a block adds at most B e^{B/(2 sqrt 2)} times
-    max(1, |term|).
-    """
-    d, r = vectors.shape
-    rows = np.ascontiguousarray(vectors.T)
-    inv_roots = 1.0 / np.sqrt(np.arange(1, d, dtype=np.float64))
-    chunk = max(1, HUSIMI_CHUNK_BYTES // (16 * max(r, HUSIMI_BLOCK)))
-    q = np.empty(alphas.size)
-    buffer = np.empty((HUSIMI_BLOCK, min(chunk, alphas.size)), dtype=np.complex128)
-    for start in range(0, alphas.size, chunk):
-        step = np.conj(alphas[start : start + chunk])
-        growth = math.log(max(float(np.abs(step).max()), math.e))
-        block = int(min(HUSIMI_BLOCK, max(1.0, HUSIMI_LOG_GROWTH // growth)))
-        log_scale = -0.5 * (step.real**2 + step.imag**2)
-        sums = np.zeros((r, step.size), dtype=np.complex128)
-        terms = buffer[:block, : step.size]
-        for lo in range(0, d, block):
-            hi = min(d, lo + block)
-            for n in range(lo, hi):
-                row = terms[n - lo]
-                if n == 0:
-                    row[:] = 1.0
-                else:
-                    np.multiply(prev, step, out=row)
-                    row *= inv_roots[n - 1]
-                prev = row
-            sums += rows[:, lo:hi] @ terms[: hi - lo]
-            scale = np.maximum(np.abs(prev), 1.0)
-            log_scale += np.log(scale)
-            np.reciprocal(scale, out=scale)
-            prev *= scale
-            sums *= scale
-        power = weights @ (sums.real**2 + sums.imag**2)
-        q[start : start + step.size] = power * np.exp(2.0 * log_scale)
-    return q / np.pi
-
-
 def husimi_q(
     rho: DensityMatrix,
     re_axis: Optional[Sequence[float]] = None,
@@ -339,12 +280,22 @@ def husimi_q(
     roundoff and never exceed 1/pi.
 
     A rho built with DensityMatrix.from_ket is summed from its ket alone,
-    |<alpha|psi>|^2 / pi in O(points d), and <n> comes from the ket too, so
-    rho.matrix is never read; any other rho from its eigenvectors, leaving
-    out eigenvalues within eps of zero relative to the largest (that moves
-    Q by at most d eps / pi).
-    e^{-|alpha|^2/2} is carried as a log-scale, so Q holds to roundoff up
-    to NBAR_MAX on the default axes, where that factor alone underflows.
+    and <n> comes from the ket too, so rho.matrix is never read; any other
+    rho from its r eigenvectors, leaving out eigenvalues within eps of zero
+    relative to the largest (that moves Q by at most d eps / pi).
+    Q is the squared Gabor transform of each vector's wavefunction
+    (quasicat.husimi): its Hermite sum at M trapezoid nodes, then for each
+    position a window of w nodes and one FFT of length L over a uniform
+    imaginary axis, or a (w x N_im) phase matrix over any other. That costs
+    O(d M + r N_re (w + L log L)), in place of O(N_re N_im d r) for a sum
+    over the levels at each point; M is at most (2K + 18)(2K + 26) / pi
+    with K = sqrt(2d + 1), and about half that on the default axes (3200 at
+    nbar 1400). Two margins, in the quadratures q, p = sqrt(2) (Re, Im)
+    alpha, hold Q to roundoff: the window and the Hermite functions end 9
+    past their reach (below e^-40 there), and the node spacing keeps the
+    aliases 13 past the momentum band (below e^-42). So Q reads 0, at no
+    cost, past |q| = K + 18 or |p| = K + 13. A log-scale per node keeps
+    e^{-x^2/2} from underflowing up to NBAR_MAX.
     """
     if len(rho.dims) != 1:
         raise BadSubsystem("husimi_q expects a single-mode density matrix")
@@ -365,7 +316,8 @@ def husimi_q(
         weights, vectors = np.linalg.eigh(rho.matrix)
         keep = np.abs(weights) > np.finfo(np.float64).eps * np.abs(weights).max()
         weights, vectors = weights[keep], vectors[:, keep]
-    alphas = (re_axis[None, :] + 1j * im_axis[:, None]).ravel()
-    values = _coherent_q(weights, vectors, alphas)
-    values = np.maximum(values, 0.0).reshape(im_axis.size, re_axis.size)
+    # imported here, so that importing quasicat does not compile the kernel
+    from .husimi import gabor_q
+
+    values = np.maximum(gabor_q(weights, vectors, re_axis, im_axis), 0.0)
     return PhaseSpaceGrid(re_axis, im_axis, values)

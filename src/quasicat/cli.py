@@ -19,6 +19,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -999,6 +1000,10 @@ def build_parser() -> argparse.ArgumentParser:
     """One subcommand per scenario and one flag per config key: key foo_bar
     is --foo-bar. Flags take raw strings; resolve_config converts and checks
     them exactly like config-file values."""
+    # argparse's own pattern reads -12 and -1.5 as negative numbers but takes
+    # -4e-05 or -inf for an option; every flag here takes a value, so a
+    # token in float syntax after one is its value
+    number = re.compile(r"-((\d+\.?\d*|\.\d+)(e[+-]?\d+)?|inf|infinity|nan)$", re.I)
     parser = argparse.ArgumentParser(
         prog="quasicat",
         description="Two-mode cavity simulator: quasi-mode reduction and "
@@ -1007,6 +1012,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="scenario", required=True)
     for scenario, help_text in SCENARIO_HELP.items():
         p = sub.add_parser(scenario, help=help_text)
+        p._negative_number_matcher = number
         p.add_argument("--config", help="key=value file")
         for key, row in config_keys(scenario).items():
             flag = "--" + key.replace("_", "-")

@@ -267,7 +267,8 @@ def _jc_model(psi, g, delta):
     a hypot; the field is formed from the ratios delta / omega_n and
     2 g sqrt(n+1) / omega_n, so it stays finite for every finite delta and
     g. The lone (0, lower) level and the truncation-edge (dim-1, upper)
-    level are 1x1 blocks -+delta/2, whose field is +-i psi.
+    level are 1x1 blocks -+delta/2, whose field is +-i psi. A block with
+    omega_n = 0 (g = delta = 0) has H = 0 there and a zero field.
     """
     d = psi.shape[0]
     coupling = 2.0 * g * np.sqrt(np.arange(1, d, dtype=np.float64))
@@ -275,6 +276,8 @@ def _jc_model(psi, g, delta):
     rates = np.empty((d, 2))
     rates[0, 0] = rates[-1, 1] = 0.5 * delta
     rates[:-1, 1] = rates[1:, 0] = 0.5 * omega
+    # omega = 0 only where delta and coupling are both 0, so both ratios are 0
+    omega[omega == 0.0] = 1.0
     detune, mix = (delta / omega)[:, None], (coupling / omega)[:, None]
     upper, lower = psi[:-1, :, 1], psi[1:, :, 0]
     field = np.empty(psi.shape, dtype=np.complex128)

@@ -33,6 +33,7 @@ from quasicat import (
 )
 from quasicat.analysis import atom_purity, mode_mean_photon, mode_overlaps
 from quasicat.fock import LEAK_TOL, NBAR_MAX, coherent_dim
+from quasicat.husimi import gabor_plan
 
 import oracles
 
@@ -373,9 +374,14 @@ def test_husimi_far_axes_stay_finite():
 
 
 def _axis(draw, reach):
-    """+-reach first, then 0 and random points within [-reach, reach]."""
+    """+-reach first, then 0 and random points within [-reach, reach]; or,
+    half the time, np.linspace from +-reach, which takes the FFT route."""
+    edge = draw(st.sampled_from((-1.0, 1.0)))
+    if draw(st.booleans()):
+        end = draw(st.floats(-1.0, 1.0))
+        return np.linspace(edge * reach, end * reach, draw(st.integers(2, 40)))
     inner = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6))
-    return np.array([draw(st.sampled_from((-1.0, 1.0))), 0.0, *inner]) * reach
+    return np.array([edge, 0.0, *inner]) * reach
 
 
 @st.composite
@@ -406,6 +412,27 @@ def _husimi_case(draw, max_dim, mixed):
 @given(case=st.one_of(_husimi_case(80, mixed=False), _husimi_case(30, mixed=True)))
 def test_husimi_matches_dense_reference(case):
     rho, re_axis, im_axis = case
+    grid = husimi_q(rho, re_axis, im_axis)
+    dense = np.maximum(oracles.husimi_grid(rho.matrix, re_axis, im_axis), 0.0)
+    assert np.abs(grid.values - dense).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n_re, n_im", [(41, 40), (40, 41), (2, 3), (60, 17)])
+def test_husimi_fft_route_matches_dense_reference(n_re, n_im):
+    # uniform momenta take one FFT per position; a rank-3 mixed state
+    rng = np.random.default_rng(100 * n_re + n_im)
+    dim = 24
+    unitary, _ = np.linalg.qr(
+        rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    )
+    weights = np.zeros(dim)
+    weights[:3] = (0.5, 0.3, 0.2)
+    matrix = (unitary * weights) @ unitary.conj().T
+    rho = DensityMatrix(0.5 * (matrix + matrix.conj().T), (dim,))
+    re_axis = np.linspace(-10.0, 10.0, n_re)
+    im_axis = np.linspace(-8.0, 10.0, n_im)
+    *_, fft_len = gabor_plan(dim, math.sqrt(2.0) * re_axis, math.sqrt(2.0) * im_axis)
+    assert fft_len is not None
     grid = husimi_q(rho, re_axis, im_axis)
     dense = np.maximum(oracles.husimi_grid(rho.matrix, re_axis, im_axis), 0.0)
     assert np.abs(grid.values - dense).max() <= 1e-14

@@ -302,6 +302,19 @@ def test_negative_nbar_is_config_error(tmp_path):
     assert main(["zero-detuning", "--out", out, "--nbar", "-3"]) == 2
 
 
+def test_negative_values_in_exponent_form_are_values(tmp_path, capsys):
+    # argparse alone reads "-4e-05" as an option and ends in "expected one
+    # argument"; repr gives that form for small floats
+    out = str(tmp_path / "e")
+    argv = ["zero-detuning", "--alpha-re", "3", "--beta-re", "-4e-05", "--t-steps", "5"]
+    assert main([*argv, "--out", out]) == 0
+    with open(os.path.join(out, "summary.json")) as handle:
+        assert json.load(handle)["config"]["beta_re"] == -4e-05
+    assert main(["zero-detuning", "--nbar", "-1E+3", "--out", out]) == 2
+    assert main(["zero-detuning", "--nbar", "-inf", "--out", out]) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_small_ratio_is_numeric_error(tmp_path, capsys):
     out = str(tmp_path / "r")
     code = main(["large-detuning", "--out", out, "--nbar", "1", "--ratio", "2"])

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quasicat.cli as cli
-from quasicat.analysis import _coherent_q
+from quasicat.analysis import DensityMatrix, husimi_q
 from quasicat.cli import _axis_blocks, _time_chunks
 from quasicat.dynamics import (
     QUASI,
@@ -17,6 +17,7 @@ from quasicat.dynamics import (
     evolve_exact_jc,
 )
 from quasicat.fock import coherent_state, ladder_matrix
+from quasicat.husimi import gabor_plan, gabor_q
 
 
 def _evolve(model, psi, g, delta, t):
@@ -111,6 +112,29 @@ def test_jc_field_stays_finite_at_extreme_couplings(g, delta):
     rates, field = _jc_model(psi, g, delta)
     assert np.all(np.isfinite(rates)) and np.all(np.isfinite(field))
     assert abs(np.linalg.norm(field) - 1.0) < 1e-12
+
+
+def test_jc_at_zero_coupling_and_detuning_leaves_the_state():
+    # every rate is 0 and H = 0, so the 2x2 blocks get a zero field, not 0/0
+    psi = _random_state(np.random.default_rng(4), 30, 2)
+    rates, field = _jc_model(psi, 0.0, 0.0)
+    assert not rates.any() and not field[:-1, :, 1].any() and not field[1:, :, 0].any()
+    out = evolve_exact_jc(SystemState(psi, QUASI), 2.5, 0.0, 0.0)
+    assert out.tensor.tobytes() == psi.tobytes()
+
+
+@pytest.mark.parametrize(
+    "g, delta", [(0.7, 0.0), (0.7, -1.3), (0.0, 1.3), (1e-300, 0.0)]
+)
+def test_jc_field_where_omega_is_nonzero_is_the_ratio_formula(g, delta):
+    psi = _random_state(np.random.default_rng(5), 30, 2)
+    coupling = 2.0 * g * np.sqrt(np.arange(1, 30, dtype=np.float64))
+    omega = np.hypot(delta, coupling)
+    detune, mix = (delta / omega)[:, None], (coupling / omega)[:, None]
+    upper, lower = psi[:-1, :, 1], psi[1:, :, 0]
+    _, field = _jc_model(psi, g, delta)
+    assert np.array_equal(field[:-1, :, 1], -1j * (detune * upper + mix * lower))
+    assert np.array_equal(field[1:, :, 0], 1j * (detune * lower - mix * upper))
 
 
 @settings(max_examples=100, deadline=None)
@@ -220,11 +244,28 @@ def test_husimi_grid_against_coherent_overlap():
     psi = coherent_state(0.8 + 0.5j, dim).amps
     re = np.array([0.0, 0.8, -1.0])
     im = np.array([0.5, -0.5])
-    alphas = (re[None, :] + 1j * im[:, None]).ravel()
-    q = _coherent_q(np.ones(1), psi[:, None], alphas).reshape(im.size, re.size)
+    q = gabor_q(np.ones(1), psi[:, None], re, im)
     assert q.shape == (2, 3)
     for i, y in enumerate(im):
         for j, x in enumerate(re):
             probe = coherent_state(complex(x, y), dim).amps
             expected = abs(np.vdot(probe, psi)) ** 2 / np.pi
             assert abs(q[i, j] - expected) < 1e-12
+
+
+def test_husimi_wide_uniform_axis_costs_nodes_by_dim():
+    # Q past the state's reach is 0 without a node there, so a +-1e6 axis
+    # takes as many nodes as the state needs, however far it reaches
+    alpha = 1.5 - 2.0j
+    dim = 60
+    psi = coherent_state(alpha, dim).amps
+    axis = np.linspace(-1e6, 1e6, 201)
+    grid = husimi_q(DensityMatrix.from_ket(psi), axis, axis)
+    beta = axis[None, :] + 1j * axis[:, None]
+    exact = np.exp(-np.abs(beta - alpha) ** 2) / np.pi
+    assert np.abs(grid.values - exact).max() <= 1e-14
+    quad = np.sqrt(2.0) * axis
+    _, _, nodes, _, _ = gabor_plan(dim, quad, quad)
+    # (2K + 18) / spacing, with a spacing of at least 2 pi / (2K + 26)
+    reach = np.sqrt(2 * dim + 1)
+    assert 0 < nodes.size <= (2 * reach + 18) * (2 * reach + 26) / (2 * np.pi) + 2
