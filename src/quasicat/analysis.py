@@ -24,6 +24,7 @@ SUBSYSTEMS = ("mode1", "mode2", "atom")
 # Eigenvalues below this are roundoff negativity and skipped in x ln x.
 ENTROPY_CLAMP = 1e-14
 
+
 @dataclass
 class DensityMatrix:
     """Hermitian PSD matrix of unit trace over one or more subsystems.
@@ -287,15 +288,16 @@ def husimi_q(
     (quasicat.husimi): its Hermite sum at M trapezoid nodes, then for each
     position a window of w nodes and one FFT of length L over a uniform
     imaginary axis, or a (w x N_im) phase matrix over any other. That costs
-    O(d M + r N_re (w + L log L)), in place of O(N_re N_im d r) for a sum
-    over the levels at each point; M is at most (2K + 18)(2K + 26) / pi
-    with K = sqrt(2d + 1), and about half that on the default axes (3200 at
-    nbar 1400). Two margins, in the quadratures q, p = sqrt(2) (Re, Im)
-    alpha, hold Q to roundoff: the window and the Hermite functions end 9
-    past their reach (below e^-40 there), and the node spacing keeps the
-    aliases 13 past the momentum band (below e^-42). So Q reads 0, at no
-    cost, past |q| = K + 18 or |p| = K + 13. A log-scale per node keeps
-    e^{-x^2/2} from underflowing up to NBAR_MAX.
+    O(r d M + r N_re (w + L log L)), in place of O(N_re N_im d r) for a sum
+    over the levels at each point. The vectors take the Hermite sum 64 at a
+    time, so that its memory stays O(M) for any rank. M is at most
+    (2K + 18)(2K + 26) / pi with K = sqrt(2d + 1), and about half that on
+    the default axes (3200 at nbar 1400). Two margins, in the quadratures
+    q, p = sqrt(2) (Re, Im) alpha, hold Q to roundoff: the window and the
+    Hermite functions end 9 past their reach (below e^-40 there), and the
+    node spacing keeps the aliases 13 past the momentum band (below
+    e^-42). So Q reads 0, at no cost, past |q| = K + 18 or |p| = K + 13. A
+    log-scale per node keeps e^{-x^2/2} from underflowing up to NBAR_MAX.
     """
     if len(rho.dims) != 1:
         raise BadSubsystem("husimi_q expects a single-mode density matrix")

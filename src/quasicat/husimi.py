@@ -22,7 +22,9 @@ import numpy as np
 GABOR_WINDOW = 9.0
 GABOR_ALIAS = 13.0
 
-# Hermite levels per block of the node recurrence, between two rescalings.
+# Hermite levels per block of the node recurrence, between two rescalings,
+# and the vectors that one pass of it sums, so that its (vectors x nodes)
+# sums stay a few MB for any rank.
 HERMITE_BLOCK = 64
 
 
@@ -123,6 +125,7 @@ def gabor_q(weights, vectors, re_axis, im_axis) -> np.ndarray:
     first node. On a uniform momentum axis the spacing makes e^(-ipx) an
     fft_len-point DFT: each window is folded modulo fft_len and takes one
     FFT. On any other axis it meets the explicit (window x momenta) phases.
+    The vectors take the node recurrence HERMITE_BLOCK at a time.
     """
     d, r = vectors.shape
     q, p = math.sqrt(2.0) * re_axis, math.sqrt(2.0) * im_axis
@@ -136,30 +139,32 @@ def gabor_q(weights, vectors, re_axis, im_axis) -> np.ndarray:
     offset = nodes[0] + spacing * first - q[cols]
     window = spacing * np.exp(-0.5 * (offset[:, None] + spacing * k) ** 2)
     take = first[:, None] + width + k
-    psis = hermite_sums(vectors, nodes)
     if fft_len is None:
         phases = np.exp(-1j * spacing * np.outer(k, p[rows]))
         terms = np.empty((cols.size, width), dtype=np.complex128)
+        tilt = 1.0
     else:
         # p = (shift + i) dp + rest with |rest| <= dp/2: the bins start at
         # shift, and e^(-i rest x) is a phase per node
         dp = 2.0 * math.pi / (fft_len * spacing)
         shift = round(p[rows[0]] / dp)
         rest = p[rows[0]] - shift * dp
-        psis *= np.exp(-1j * rest * spacing * np.arange(nodes.size))
+        tilt = np.exp(-1j * rest * spacing * np.arange(nodes.size))
         bins = (shift + np.arange(rows.size)) % fft_len
         folds = -(-width // fft_len)
         terms = np.zeros((cols.size, folds * fft_len), dtype=np.complex128)
     power = np.zeros((cols.size, rows.size))
     padded = np.zeros(nodes.size + 2 * width, dtype=np.complex128)
-    for weight, psi in zip(weights, psis):
-        padded[width : width + nodes.size] = psi
-        np.multiply(padded[take], window, out=terms[:, :width])
-        if fft_len is None:
-            sums = terms @ phases
-        else:
-            folded = terms.reshape(cols.size, folds, fft_len).sum(axis=1)
-            sums = np.fft.fft(folded)[:, bins]
-        power += weight * (sums.real**2 + sums.imag**2)
+    for lo in range(0, r, HERMITE_BLOCK):
+        psis = hermite_sums(vectors[:, lo : lo + HERMITE_BLOCK], nodes) * tilt
+        for weight, psi in zip(weights[lo : lo + HERMITE_BLOCK], psis):
+            padded[width : width + nodes.size] = psi
+            np.multiply(padded[take], window, out=terms[:, :width])
+            if fft_len is None:
+                sums = terms @ phases
+            else:
+                folded = terms.reshape(cols.size, folds, fft_len).sum(axis=1)
+                sums = np.fft.fft(folded)[:, bins]
+            power += weight * (sums.real**2 + sums.imag**2)
     values[np.ix_(rows, cols)] = power.T / math.pi**1.5
     return values

@@ -347,10 +347,10 @@ def husimi_grid(rho, re_axis, im_axis):
     """Q(alpha) = <alpha|rho|alpha>/pi on a rectangular grid.
 
     Returns values[i, j] for alpha = re_axis[j] + 1i im_axis[i].
-    The dense body that analysis.husimi_q replaced, now a Gabor transform of
-    a factor of rho (quasicat.husimi): O(points d^2), and e^{-|alpha|^2/2}
-    underflows to 0 past |alpha|^2 of about 1490, so it is a reference below
-    that only.
+    The dense body that analysis.husimi_q replaced (it now takes a Gabor
+    transform of a factor of rho, quasicat.husimi). It costs O(points d^2),
+    and e^{-|alpha|^2/2} underflows to 0 past |alpha|^2 of about 1490, so it
+    is a reference below that only.
     """
     d = rho.shape[0]
     alphas = (re_axis[None, :] + 1j * im_axis[:, None]).ravel()

@@ -33,7 +33,7 @@ from quasicat import (
 )
 from quasicat.analysis import atom_purity, mode_mean_photon, mode_overlaps
 from quasicat.fock import LEAK_TOL, NBAR_MAX, coherent_dim
-from quasicat.husimi import gabor_plan
+from quasicat.husimi import HERMITE_BLOCK, gabor_plan
 
 import oracles
 
@@ -362,8 +362,8 @@ def test_from_ket_guards():
 
 @pytest.mark.filterwarnings("error")
 def test_husimi_far_axes_stay_finite():
-    # past |beta| of about 1e7 a block of 64 levels would overflow, so the
-    # kernel cuts the block to keep the growth in range
+    # points far past the state's reach read 0 and add no trapezoid nodes,
+    # so the +-1e7 rows and columns neither overflow nor cost anything
     alpha = 2.0 - 1.0j
     rho = DensityMatrix.from_ket(coherent_state(alpha, 80).amps)
     axis = np.array([-1e7, -1.0, 0.0, 2.0, 1e7])
@@ -433,6 +433,28 @@ def test_husimi_fft_route_matches_dense_reference(n_re, n_im):
     im_axis = np.linspace(-8.0, 10.0, n_im)
     *_, fft_len = gabor_plan(dim, math.sqrt(2.0) * re_axis, math.sqrt(2.0) * im_axis)
     assert fft_len is not None
+    grid = husimi_q(rho, re_axis, im_axis)
+    dense = np.maximum(oracles.husimi_grid(rho.matrix, re_axis, im_axis), 0.0)
+    assert np.abs(grid.values - dense).max() <= 1e-14
+
+
+@pytest.mark.parametrize("uniform", [True, False])
+def test_husimi_rank_past_one_recurrence_pass_matches_dense_reference(uniform):
+    # a full-rank rho has more eigenvectors than one pass of the Hermite
+    # recurrence takes, on the FFT route and on the phase-matrix route
+    rng = np.random.default_rng(7)
+    dim = HERMITE_BLOCK + 16
+    unitary, _ = np.linalg.qr(
+        rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    )
+    weights = rng.random(dim)
+    matrix = (unitary * (weights / weights.sum())) @ unitary.conj().T
+    rho = DensityMatrix(0.5 * (matrix + matrix.conj().T), (dim,))
+    re_axis = np.linspace(-12.0, 12.0, 25)
+    if uniform:
+        im_axis = np.linspace(-12.0, 11.0, 24)
+    else:
+        im_axis = np.sort(rng.uniform(-12.0, 12.0, 24))
     grid = husimi_q(rho, re_axis, im_axis)
     dense = np.maximum(oracles.husimi_grid(rho.matrix, re_axis, im_axis), 0.0)
     assert np.abs(grid.values - dense).max() <= 1e-14
