@@ -14,6 +14,7 @@ from .errors import (
     BasisMismatch,
     DimensionMismatch,
     GridTooSmall,
+    NonFiniteInput,
     NormViolation,
 )
 from .fock import FockVector
@@ -258,13 +259,15 @@ class PhaseSpaceGrid:
         return float(np.sum(self.values) * self.cell_area())
 
 
-def _as_axis(spec, default_limit: float, count: int) -> np.ndarray:
+def _as_axis(name: str, spec, default_limit: float, count: int) -> np.ndarray:
     if spec is None:
         return np.linspace(-default_limit, default_limit, count)
     spec = np.asarray(spec, dtype=np.float64)
-    if spec.ndim == 1 and spec.size >= 2:
-        return spec
-    raise GridTooSmall("axis needs at least two points")
+    if spec.ndim != 1 or spec.size < 2:
+        raise GridTooSmall(f"{name} needs at least two points")
+    if not np.all(np.isfinite(spec)):
+        raise NonFiniteInput(f"{name} has a non-finite value")
+    return spec
 
 
 def husimi_q(
@@ -303,8 +306,8 @@ def husimi_q(
         raise BadSubsystem("husimi_q expects a single-mode density matrix")
     nbar = mean_photon(rho)
     limit = 1.5 * (math.sqrt(max(nbar, 0.0)) + 2.0)
-    re_axis = _as_axis(re_axis, limit, count)
-    im_axis = _as_axis(im_axis, limit, count)
+    re_axis = _as_axis("re_axis", re_axis, limit, count)
+    im_axis = _as_axis("im_axis", im_axis, limit, count)
     required = 1.5 * math.sqrt(max(nbar, 0.0))
     for axis in (re_axis, im_axis):
         if max(abs(float(axis[0])), abs(float(axis[-1]))) < required:

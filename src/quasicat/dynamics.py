@@ -207,34 +207,44 @@ def excitation_sectors(dim1: int, dim2: int) -> list:
 class HermitianPropagator:
     """Reusable exp(-iHt) from a single Hermitian eigendecomposition.
 
-    Exactly unitary up to roundoff; the decomposition is shared across all
-    evolution times. validate runs one per excitation sector; the tests run
+    ham is one (m, m) matrix or a (..., m, m) stack of them; a real stack
+    stays real (float64, and so are its eigenvectors), any other is taken
+    as complex128. One check refuses the stack unless every matrix is
+    Hermitian to 1e-12 of its largest entry, and one eigh decomposes them
+    all. dim is m, the size of one matrix. Exactly unitary up to roundoff;
+    the decomposition is shared across all evolution times. validate runs
+    one over the zero-padded stack of its excitation sectors; the tests run
     one on each dense reference matrix.
     """
 
     def __init__(self, ham: np.ndarray):
-        ham = np.asarray(ham, dtype=np.complex128)
-        if ham.ndim != 2 or ham.shape[0] != ham.shape[1]:
+        ham = np.asarray(ham)
+        ham = ham.astype(np.float64 if np.isrealobj(ham) else np.complex128)
+        if ham.ndim < 2 or ham.shape[-1] != ham.shape[-2]:
             raise DimensionMismatch("Hamiltonian must be square")
-        scale = max(1.0, float(np.abs(ham).max()))
-        if not np.allclose(ham, ham.conj().T, rtol=0.0, atol=1e-12 * scale):
+        scale = np.maximum(1.0, np.abs(ham).max(axis=(-2, -1), keepdims=True))
+        if not np.all(np.abs(ham - np.swapaxes(ham, -1, -2).conj()) <= 1e-12 * scale):
             raise DimensionMismatch("Hamiltonian is not Hermitian")
         self.energies, self.vectors = np.linalg.eigh(ham)
 
     @property
     def dim(self) -> int:
-        return self.energies.size
+        return self.energies.shape[-1]
 
     def evolve_flat(self, vec: np.ndarray, t: float) -> np.ndarray:
-        vec = np.asarray(vec, dtype=np.complex128).reshape(-1)
-        if vec.size != self.dim:
+        """exp(-iHt) vec for (..., m) vectors, complex128; their leading
+        axes broadcast against the stack's."""
+        vec = np.asarray(vec, dtype=np.complex128)
+        if vec.ndim == 0 or vec.shape[-1] != self.dim:
             raise DimensionMismatch(
-                f"state size {vec.size} does not match dim {self.dim}"
+                f"state of shape {vec.shape} does not match dim {self.dim}"
             )
         phases = np.exp(-1j * self.energies * float(t))
-        return self.vectors @ (phases * (self.vectors.conj().T @ vec))
+        coeffs = np.swapaxes(self.vectors, -1, -2).conj() @ vec[..., None]
+        return (self.vectors @ (phases[..., None] * coeffs))[..., 0]
 
     def evolve(self, state: SystemState, t: float) -> SystemState:
+        """exp(-iHt) on a state whose flat size is dim."""
         out = self.evolve_flat(state.flat(), t)
         return SystemState(out.reshape(state.dims), state.basis)
 

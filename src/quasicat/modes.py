@@ -124,37 +124,71 @@ def _expm_hopping(hop: np.ndarray, c: complex) -> ComplexMatrix:
     return ((u * np.exp(-1j * abs(c) * w)) @ u.T) * phase
 
 
-def _shell_rotation(theta: float, dim1: int, dim2: int, total: int):
-    """Flat indices and block of R on the shell n1 + n2 = total.
+def _shell_stack(theta: float, dim1: int, dim2: int, shells: int):
+    """R = exp(theta (a+ b - a b+)) on the total-photon shells 0 .. shells - 1,
+    as one zero-padded stack: (index, inside, blocks).
 
-    Ordered by ascending n1, a+ b steps from (n1, n2) to (n1 + 1, n2 - 1)
-    with amplitude sqrt((n1 + 1) n2), so theta (a+ b - a b+) is the hopping
-    generator of _expm_hopping with c = -theta. The truncated mixer never
-    leaves a shell, so the blocks are exact on truncated shells too.
+    Row s holds shell n1 + n2 = s ordered by ascending n1: index[s, k] is
+    the flat index of its k-th state, inside marks the k that exist, and
+    blocks[s] is R on the shell, zero outside. a+ b steps from (n1, n2) to
+    (n1 + 1, n2 - 1) with amplitude sqrt((n1 + 1) n2), so the generator is
+    theta (S - S^T) for S with those hops on its subdiagonal. diag(i^k)
+    carries it to -i theta T with T = S + S^T real symmetric, whence
+    R_kl = i^(k - l) (cos(theta T) - i sin(theta T))_kl. T is bipartite, so
+    cos(theta T) lives on even offsets k - l and sin(theta T) on odd ones,
+    and R_kl is (-1)^floor((k - l) / 2) times the one its parity selects:
+    real, from one real eigh of the stack of T. A padded site has no hop,
+    so it never mixes into a shell. The truncated mixer never leaves a
+    shell, so the blocks are exact on truncated shells too.
     """
-    n1 = np.arange(max(0, total - dim2 + 1), min(total, dim1 - 1) + 1)
-    n2 = total - n1
-    hop = np.sqrt((n1[:-1] + 1.0) * n2[:-1])
-    return n1 * dim2 + n2, _expm_hopping(hop, -theta)
+    size = min(shells, dim1, dim2)
+    total = np.arange(shells)[:, None]
+    n1 = np.maximum(0, total - dim2 + 1) + np.arange(size)
+    inside = n1 <= np.minimum(total, dim1 - 1)
+    # the hop k -> k + 1 exists where site k + 1 does
+    hop = np.where(inside[:, 1:], (n1[:, :-1] + 1.0) * (total - n1[:, :-1]), 0.0)
+    hop = np.sqrt(hop)
+    ham = np.zeros((shells, size, size))
+    k = np.arange(size - 1)
+    ham[:, k + 1, k] = ham[:, k, k + 1] = hop
+    w, u = np.linalg.eigh(ham)
+    trig = np.stack((np.cos(theta * w), np.sin(theta * w)), axis=1)
+    cos_part, sin_part = np.moveaxis(
+        (u[:, None] * trig[..., None, :]) @ np.swapaxes(u, 1, 2)[:, None], 1, 0
+    )
+    offset = np.arange(size)[:, None] - np.arange(size)[None, :]
+    sign = np.where(offset // 2 % 2, -1.0, 1.0)
+    blocks = sign * np.where(offset % 2, sin_part, cos_part)
+    blocks *= inside[:, :, None] & inside[:, None, :]
+    return n1 * dim2 + (total - n1), inside, blocks
 
 
-def mode_rotation_unitary(rot: ModeRotation, dim1: int, dim2: int) -> ComplexMatrix:
-    """Two-mode unitary R = exp(theta (a+ b - a b+)) realizing the rotation.
+def _block_diagonal(index, inside, blocks, size: int) -> np.ndarray:
+    """The real size x size matrix with blocks[s] on the rows and columns
+    index[s, inside[s]], zero elsewhere."""
+    pick = inside[:, :, None] & inside[:, None, :]
+    out = np.zeros((size, size))
+    rows = np.broadcast_to(index[:, :, None], pick.shape)[pick]
+    cols = np.broadcast_to(index[:, None, :], pick.shape)[pick]
+    out[rows, cols] = blocks[pick]
+    return out
+
+
+def mode_rotation_unitary(rot: ModeRotation, dim1: int, dim2: int) -> np.ndarray:
+    """Two-mode unitary R = exp(theta (a+ b - a b+)) realizing the rotation,
+    as a real orthogonal (dim1 dim2, dim1 dim2) float64 matrix, flat-indexed
+    n1 dim2 + n2 like np.kron of the two modes.
 
     Sign convention (fixed once against a small-dim oracle):
     R+ a R = cos(theta) a + sin(theta) b, and R|alpha, beta> is the coherent
     product with the quasi amplitudes rotate_amplitudes gives. The mixer
-    conserves n1 + n2, so R is assembled from one beam-splitter block per
-    total-photon shell.
+    conserves n1 + n2, so R is assembled from its blocks on the total-photon
+    shells, all taken from one stack (see _shell_stack).
     """
     if dim1 < 2 or dim2 < 2:
         raise DimTooSmall("mode_rotation_unitary needs dims >= 2")
-    size = dim1 * dim2
-    out = np.zeros((size, size), dtype=np.complex128)
-    for total in range(dim1 + dim2 - 1):
-        idx, block = _shell_rotation(rot.theta, dim1, dim2, total)
-        out[np.ix_(idx, idx)] = block
-    return out
+    index, inside, blocks = _shell_stack(rot.theta, dim1, dim2, dim1 + dim2 - 1)
+    return _block_diagonal(index, inside, blocks, dim1 * dim2)
 
 
 def squeeze_composition(rot: ModeRotation, z1: complex, z2: complex):
@@ -230,20 +264,21 @@ def squeeze_identity_residual(
         return expm_antihermitian(0.5 * (np.conj(z) * (a @ a) - z * (a.T @ a.T)))
 
     top = min(input_cap, 2 * dim - 2)
-    shells = [_shell_rotation(rot.theta, dim, dim, n) for n in range(top + 1)]
+    index, inside, blocks = _shell_stack(rot.theta, dim, dim, top + 1)
     # one row per probe column (n1 + n2 <= input_cap), over the flat two-mode
-    # basis; the 2-norm does not depend on the order of rows or columns
-    m1, m2 = np.divmod(np.concatenate([idx for idx, _ in shells]), dim)
+    # basis; the 2-norm does not depend on the order of rows or columns.
+    # The probe columns fill whole shells, so R maps them among themselves
+    probe = index[inside]
+    at = np.cumsum(inside).reshape(inside.shape) - 1
+    r_probe = _block_diagonal(at, inside, blocks, probe.size)
+    m1, m2 = np.divmod(probe, dim)
 
     # S_1(z1) S_2(z2) |m1, m2> = S_1[:, m1] x S_2[:, m2]
     left = squeeze(z1)[:, m1].T[:, :, None] * squeeze(z2)[:, m2].T[:, None, :]
     left = left.reshape(m1.size, dim * dim)
 
     right = np.zeros((m1.size, dim * dim), dtype=np.complex128)
-    start = 0
-    for idx, block in shells:
-        right[start : start + idx.size, idx] = block.T
-        start += idx.size
+    right[:, probe] = r_probe.T
     s_q = squeeze(q)
     right = (s_q @ right.reshape(m1.size, dim, dim) @ s_q.T).reshape(m1.size, -1)
     if p != 0:
@@ -256,9 +291,7 @@ def squeeze_identity_residual(
             flat = n1 * dim + n2
             right[:, flat] = right[:, flat] @ gate.T
 
-    resid = np.concatenate(
-        [left[:, idx] - right[:, idx] @ block.conj() for idx, block in shells], axis=1
-    )
+    resid = left[:, probe] - right[:, probe] @ r_probe
     return float(np.linalg.norm(resid, 2))
 
 

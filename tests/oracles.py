@@ -316,7 +316,9 @@ def dispersive_coherent_state(
 
 def grid_peaks_loop(grid, top: int = 2, min_separation: float = 0.5):
     """The per-point loop that cli._grid_peaks replaced with one array
-    comparison against the four neighbours; it must pick the same peaks."""
+    comparison against the four neighbours; it must pick the same peaks.
+    Candidates whose Q lies within 1e-12 relative of the largest one left
+    are a tie and go by grid position, im then re."""
     values = grid.values
     found = []
     for i in range(1, values.shape[0] - 1):
@@ -332,8 +334,13 @@ def grid_peaks_loop(grid, top: int = 2, min_separation: float = 0.5):
             ):
                 found.append((float(v), float(grid.re_axis[j]), float(grid.im_axis[i])))
     found.sort(reverse=True)
+    ordered = []
+    while found:
+        ties = [c for c in found if c[0] >= found[0][0] * (1.0 - 1e-12)]
+        ordered += sorted(ties, key=lambda c: (c[2], c[1]))
+        found = [c for c in found if c not in ties]
     picked = []
-    for v, re, im in found:
+    for v, re, im in ordered:
         if all(
             math.hypot(re - p["re"], im - p["im"]) > min_separation for p in picked
         ):

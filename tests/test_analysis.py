@@ -11,6 +11,7 @@ from quasicat import (
     DensityMatrix,
     DimensionMismatch,
     GridTooSmall,
+    NonFiniteInput,
     NormViolation,
     SystemState,
     atomic_inversion,
@@ -337,6 +338,13 @@ def test_husimi_grid_guards():
         husimi_q(rho, np.linspace(-2.0, 2.0, 41), np.linspace(-2.0, 2.0, 41))
     with pytest.raises(GridTooSmall):
         husimi_q(rho, np.array([0.0]), None)
+    for re_axis, im_axis, name in (
+        ([math.inf, 0.0, 3.0], [math.nan, 0.0, 3.0], "re_axis"),
+        ([-3.0, 0.0, 3.0], [-3.0, math.nan, 3.0], "im_axis"),
+        (None, [-math.inf, 0.0, 3.0], "im_axis"),
+    ):
+        with pytest.raises(NonFiniteInput, match=name):
+            husimi_q(rho, re_axis, im_axis)
     rng = np.random.default_rng(13)
     joint = partial_trace(_random_state(rng), ("mode1", "mode2"))
     with pytest.raises(BadSubsystem):

@@ -126,6 +126,72 @@ def test_validate_sector_checks_match_dense_reference(dim, g1, g2, delta):
     assert checks["basis_equivalence_evolution"] < VALIDATE_TOL
 
 
+# every check at the commit before validate ran its sectors as one real
+# stack; they are roundoff, and the stack moves each by far less than 1e-12
+PINNED_CHECKS = {
+    ("validate",): {
+        "amplitude_round_trip": 1.7963785889362148e-16,
+        "amplitude_norm_preserved": 6.661338147750939e-16,
+        "rotation_operator_vs_amplitudes": 1.2878587085651816e-14,
+        "quasi_jc_rotation": 3.629990011781464e-15,
+        "excitation_commutator": 0.0,
+        "basis_equivalence_evolution": 0.0,
+        "squeeze_equal_params": 5.551115123125783e-17,
+        "squeeze_operator_identity": 6.024976157005156e-12,
+        "phase_branch_energy": 2.7755575615628914e-17,
+        "decouple_eigenvalues": 0.0,
+    },
+    ("validate", "--dim", "16", "--trials", "4", "--seed", "3"): {
+        "amplitude_round_trip": 1.1102230246251565e-16,
+        "amplitude_norm_preserved": 7.494005416219807e-16,
+        "rotation_operator_vs_amplitudes": 4.440892098500626e-16,
+        "quasi_jc_rotation": 8.279882474668436e-15,
+        "excitation_commutator": 0.0,
+        "basis_equivalence_evolution": 0.0,
+        "squeeze_equal_params": 5.551115123125783e-17,
+        "squeeze_operator_identity": 6.024976157005156e-12,
+        "phase_branch_energy": 2.7755575615628914e-17,
+        "decouple_eigenvalues": 0.0,
+    },
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_CHECKS))
+def test_validate_checks_stay_pinned(argv, monkeypatch):
+    # the basis-equivalence trials are drawn as the per-trial loop drew them:
+    # after the amplitude and operator trials, each trial's real parts and
+    # then its imaginary parts, capped at n1 + n2 <= dim - 2 and normalized
+    cfg = resolve_config("validate", build_parser().parse_args(list(argv)))
+    seen = []
+    evolve = cli.evolve_exact_jc
+
+    def recording(state, *args):
+        seen.append(state)
+        return evolve(state, *args)
+
+    monkeypatch.setattr(cli, "evolve_exact_jc", recording)
+    summary = run_validate(cfg).summary
+    assert summary["all_passed"] is True
+    expected = PINNED_CHECKS[argv]
+    assert list(summary["checks"]) == list(expected)
+    for name, value in expected.items():
+        assert abs(summary["checks"][name] - value) <= 1e-12, name
+
+    dim, trials = cfg["dim"], cfg["trials"]
+    rng = np.random.default_rng(cfg["seed"])
+    rng.normal(size=4 * trials)
+    rng.uniform(size=4 * trials)
+    n = np.arange(dim)
+    rotation = mode_rotation_unitary(rotation_params(cfg["g1"], cfg["g2"]), dim, dim)
+    assert len(seen) == trials
+    for state in seen:
+        tensor = rng.normal(size=(dim, dim, 2)) + 1j * rng.normal(size=(dim, dim, 2))
+        tensor[n[:, None] + n[None, :] > dim - 2] = 0.0
+        tensor /= np.linalg.norm(tensor)
+        quasi = rotation @ tensor.reshape(dim * dim, 2)
+        assert np.abs(state.tensor.reshape(dim * dim, 2) - quasi).max() <= 1e-12
+
+
 def test_validate_commutator_catches_broken_conservation(monkeypatch):
     # a mode-1 drive a + a+ changes the excitation number, so the sector
     # blocks would drop it; excitation_commutator must see it in full
@@ -879,6 +945,29 @@ def test_grid_peaks_match_the_point_loop(shape, levels, seed):
     )
     for top in (1, 2, 5):
         assert cli._grid_peaks(grid, top) == grid_peaks_loop(grid, top)
+
+
+def test_qfunc_lists_a_cats_lobes_in_a_fixed_order(tmp_path):
+    # the two lobes of a cat agree in Q to roundoff; as a tie they go by
+    # grid position (im, then re), so every rerun lists them alike, and so
+    # does the grid with its values moved by roundoff
+    lobes = []
+    for run in range(3):
+        out = str(tmp_path / str(run))
+        assert main(["qfunc", "--out", out, "--nbar", "9", "--grid-points", "41"]) == 0
+        peaks = _read_summary(out)["summary"]["peaks"]
+        lobes.append([(p["re"], p["im"]) for p in peaks])
+    assert lobes[0][0][1] < 0.0 < lobes[0][1][1]
+    assert lobes[1] == lobes[0] and lobes[2] == lobes[0]
+    rho = cli.DensityMatrix.from_ket(cli.cat_target(3.0, 1, 40).amps, "mode1")
+    grid = cli.husimi_q(rho, count=41)
+    expected = [(p["re"], p["im"]) for p in cli._grid_peaks(grid)]
+    assert expected[0][1] < 0.0 < expected[1][1]
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        noise = 1.0 + 1e-14 * rng.normal(size=grid.values.shape)
+        noisy = cli.PhaseSpaceGrid(grid.re_axis, grid.im_axis, grid.values * noise)
+        assert [(p["re"], p["im"]) for p in cli._grid_peaks(noisy)] == expected
 
 
 def test_writers_match_per_value_format(tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies
 
@@ -318,9 +319,53 @@ def test_sector_oracle_matches_dense_oracle(dim, g1, g2, delta, t, seed):
     assert np.abs(by_sector - dense).max() <= 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=strategies.lists(strategies.integers(1, 6), min_size=1, max_size=5),
+    real=strategies.booleans(),
+    t=strategies.floats(-5.0, 5.0),
+    seed=strategies.integers(0, 2**32 - 1),
+)
+def test_stacked_propagator_matches_blocks_and_dense_oracle(sizes, real, t, seed):
+    # a zero-padded stack of Hermitian blocks, as validate builds from its
+    # excitation sectors, evolves a batch of padded vectors at once
+    rng = np.random.default_rng(seed)
+    m = max(sizes)
+    stack = np.zeros((len(sizes), m, m), dtype=np.float64 if real else np.complex128)
+    vecs = np.zeros((2, len(sizes), m), dtype=np.complex128)
+    for k, size in enumerate(sizes):
+        block = rng.uniform(-2.0, 2.0, size=(size, size))
+        if not real:
+            block = block + 1j * rng.uniform(-2.0, 2.0, size=(size, size))
+        stack[k, :size, :size] = block + block.conj().T
+        vecs[:, k, :size] = rng.normal(size=(2, size)) + 1j * rng.normal(size=(2, size))
+    stacked = HermitianPropagator(stack)
+    assert stacked.dim == m
+    assert stacked.vectors.dtype == stack.dtype
+    out = stacked.evolve_flat(vecs, t)
+    blocks = [stack[k, :size, :size] for k, size in enumerate(sizes)]
+    dense = scipy.linalg.expm(-1j * t * scipy.linalg.block_diag(*blocks))
+    inside = np.arange(m) < np.array(sizes)[:, None]
+    np.testing.assert_allclose(out[:, ~inside], 0.0, rtol=0.0, atol=1e-12)
+    for j in range(2):
+        oracle = dense @ vecs[j][inside]
+        assert np.abs(out[j][inside] - oracle).max() <= 1e-12
+        for k, block in enumerate(blocks):
+            single = HermitianPropagator(block).evolve_flat(vecs[j, k, : sizes[k]], t)
+            assert np.abs(out[j, k, : sizes[k]] - single).max() <= 1e-12
+
+
 def test_propagator_rejects_nonhermitian():
     with pytest.raises(DimensionMismatch):
         HermitianPropagator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # one bad block in a stack is enough
+    stack = np.zeros((3, 2, 2))
+    stack[:] = np.eye(2)
+    stack[1, 0, 1] = 1e-6
+    with pytest.raises(DimensionMismatch):
+        HermitianPropagator(stack)
+    with pytest.raises(DimensionMismatch):
+        HermitianPropagator(np.zeros((3, 2, 4)))
 
 
 def test_propagator_rejects_an_asymmetry_above_its_tolerance():

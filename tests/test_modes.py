@@ -202,8 +202,10 @@ def test_mode_rotation_unitary_matches_dense_expm(theta, dim1, dim2):
     b = np.kron(np.eye(dim1), ladder_matrix(dim2))
     dense = scipy.linalg.expm(rot.theta * (a.conj().T @ b - a @ b.conj().T))
     r = mode_rotation_unitary(rot, dim1, dim2)
+    # real orthogonal: the shell blocks are cos and sin of a real matrix
+    assert r.dtype == np.float64
     assert np.abs(r - dense).max() <= 1e-12
-    assert np.abs(r.conj().T @ r - np.eye(dim1 * dim2)).max() <= 1e-12
+    assert np.abs(r.T @ r - np.eye(dim1 * dim2)).max() <= 1e-12
 
 
 def test_mode_rotation_unitary_dim_guard():
