@@ -491,11 +491,11 @@ def run_validate(cfg: dict) -> RunReport:
         max(0.0, np.max(1.0 - np.abs(overlap) ** 2))
     )
 
-    # squeeze composition scalars and the operator identity on a small space
+    # squeeze composition scalars and the operator identity at the run's rotation
     p, q = squeeze_composition(rot, 0.3 + 0.1j, 0.3 + 0.1j)
     checks["squeeze_equal_params"] = abs(p) + abs(q - (0.3 + 0.1j))
     checks["squeeze_operator_identity"] = squeeze_identity_residual(
-        rotation_params(1.0, 1.0), 0.25, 0.25, dim=24
+        rot, 0.25, 0.25, dim=24
     )
 
     # phasing quasi mode I splits into two branches of equal total energy

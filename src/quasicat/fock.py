@@ -6,8 +6,8 @@ mass fell beyond the edge; they refuse to proceed when that mass reaches
 ``leak_tol``, because silent truncation is the dominant numerical hazard
 in everything built on top of this module.
 
-Gate matrices (displacement, squeeze) are built by exact eigendecomposition
-of the finite antihermitian generator, so they are unitary to roundoff on
+Gate matrices (displacement, squeeze) are hopping-chain exponentials from
+one real eigh per chain (_chain_gate), so they are unitary to roundoff on
 the whole retained space (trusted-block buffer 0), not just away from the
 edge. The canonical commutator [a, a+] still breaks on the last row; tests
 that probe it must stop at n < dim - 1.
@@ -217,7 +217,7 @@ def ladder_matrix(dim: int) -> ComplexMatrix:
 def expm_antihermitian(gen: np.ndarray) -> ComplexMatrix:
     """exp(gen) for antihermitian gen, via eigendecomposition of i*gen.
 
-    Exactly unitary up to roundoff, unlike a truncated power series.
+    Unitary to roundoff, unlike a power series. No package gate calls it.
     """
     gen = np.asarray(gen, dtype=np.complex128)
     herm = 1j * gen
@@ -228,23 +228,71 @@ def expm_antihermitian(gen: np.ndarray) -> ComplexMatrix:
     return (vecs * np.exp(-1j * w)) @ vecs.conj().T
 
 
+def _chain_trig(hops: np.ndarray, angle: float) -> np.ndarray:
+    """cos(angle T) on even offsets k - l and sin(angle T) on odd ones, for a
+    stack of real tridiagonal T with hops (..., m - 1) on both off-diagonals.
+
+    A chain is bipartite, so cos(angle T), even in T, vanishes on odd offsets
+    and sin(angle T), odd in T, on even ones: exp(-i angle T) is this matrix
+    with -i on odd offsets. One real eigh takes the stack; a zero hop cuts a
+    chain, so padded sites never mix into it.
+    """
+    size = hops.shape[-1] + 1
+    ham = np.zeros(hops.shape[:-1] + (size, size))
+    k = np.arange(size - 1)
+    ham[..., k + 1, k] = ham[..., k, k + 1] = hops
+    w, u = np.linalg.eigh(ham)
+    ut = np.swapaxes(u, -1, -2)
+    even, odd = ((u * f(angle * w)[..., None, :]) @ ut for f in (np.cos, np.sin))
+    offset = np.arange(size)[:, None] - np.arange(size)
+    return np.where(offset % 2, odd, even)
+
+
+def _chain_gate(hops: np.ndarray, c: complex) -> ComplexMatrix:
+    """exp(c* L - c L^T) for the stack of L with real hops (..., m - 1) on the
+    superdiagonal: diag(e^{i psi k}), psi = arg c - pi/2, carries the
+    generator to -i |c| T, so the gate is e^{i psi (k - l)} exp(-i |c| T)_kl."""
+    offset = np.arange(hops.shape[-1] + 1)[:, None] - np.arange(hops.shape[-1] + 1)
+    phase = np.exp(1j * (cmath.phase(c) - 0.5 * math.pi) * offset)
+    return _chain_trig(hops, abs(c)) * phase * np.where(offset % 2, -1j, 1.0)
+
+
+def _block_diagonal(index, inside, blocks, size: int) -> np.ndarray:
+    """The size x size matrix with blocks[s] on the rows and columns
+    index[s, inside[s]], zero elsewhere."""
+    pick = inside[:, :, None] & inside[:, None, :]
+    out = np.zeros((size, size), dtype=blocks.dtype)
+    s, k, l = np.nonzero(pick)
+    out[index[s, k], index[s, l]] = blocks[pick]
+    return out
+
+
+def _squeeze_gate(z: complex, dim: int) -> ComplexMatrix:
+    """S(z) on dim levels: a^2 hops sqrt((n + 1)(n + 2)) from n + 2 to n, so
+    S(z) is the chain gate with c = z/2 on the even and on the odd levels."""
+    if dim < 2:
+        raise DimTooSmall("the squeeze gate needs dim >= 2")
+    levels = np.arange(2)[:, None] + np.arange(0, dim, 2)
+    inside = levels < dim
+    hops = np.sqrt((levels[:, :-1] + 1.0) * (levels[:, :-1] + 2.0)) * inside[:, 1:]
+    return _block_diagonal(levels, inside, _chain_gate(hops, 0.5 * z), dim)
+
+
 def displacement_matrix(
     alpha: complex, dim: int, leak_tol: float = LEAK_TOL
 ) -> ComplexMatrix:
-    """Displacement D(alpha) = exp(alpha a+ - alpha* a) on the truncated space."""
+    """D(alpha) = exp(alpha a+ - alpha* a): the chain gate of a with c = -alpha."""
+    if dim < 2:
+        raise DimTooSmall("displacement_matrix needs dim >= 2")
     # reuse the coherent-state tail check for sizing
     coherent_state(alpha, dim, leak_tol)
-    a = ladder_matrix(dim)
-    gen = alpha * a.conj().T - np.conj(alpha) * a
-    return expm_antihermitian(gen)
+    return _chain_gate(np.sqrt(np.arange(1.0, dim)), -alpha)
 
 
 def squeeze_matrix(z: complex, dim: int, leak_tol: float = LEAK_TOL) -> ComplexMatrix:
     """Squeeze S(z) = exp((z* a^2 - z a+^2)/2) on the truncated space."""
     squeezed_vacuum(z, dim, leak_tol)
-    a = ladder_matrix(dim)
-    gen = 0.5 * (np.conj(z) * (a @ a) - z * (a.conj().T @ a.conj().T))
-    return expm_antihermitian(gen)
+    return _squeeze_gate(z, dim)
 
 
 def coherent_overlap(alpha: complex, beta: complex) -> complex:

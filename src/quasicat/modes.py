@@ -11,7 +11,6 @@ dispersively shifted oscillators when the detunings differ.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -23,9 +22,11 @@ from .errors import (
     DimTooSmall,
     NonFiniteInput,
     NonUnitPhase,
+    ParameterOutOfRange,
     ZeroDetuning,
 )
-from .fock import ComplexMatrix, expm_antihermitian, ladder_matrix
+from .fock import _block_diagonal, _chain_gate, _chain_trig, _squeeze_gate
+from .fock import _check_finite_scalar
 
 PHYSICAL = "physical"
 QUASI = "quasi"
@@ -110,36 +111,16 @@ def rotate_amplitudes(rot: ModeRotation, pair: AmplitudePair) -> AmplitudePair:
     )
 
 
-def _expm_hopping(hop: np.ndarray, c: complex) -> ComplexMatrix:
-    """exp(c* L - c L^T) for L with the real, nonnegative hop on its superdiagonal.
-
-    i times this generator is Hermitian tridiagonal with a single phase on
-    its off-diagonal, so diag(e^{i psi k}) carries it to the real symmetric
-    |c| (L + L^T): one small real eigh, unitary to roundoff.
-    """
-    w, u = np.linalg.eigh(np.diag(hop, 1) + np.diag(hop, -1))
-    k = np.arange(hop.size + 1)
-    psi = cmath.phase(c) - 0.5 * math.pi
-    phase = np.exp(1j * psi * (k[:, None] - k[None, :]))
-    return ((u * np.exp(-1j * abs(c) * w)) @ u.T) * phase
-
-
 def _shell_stack(theta: float, dim1: int, dim2: int, shells: int):
     """R = exp(theta (a+ b - a b+)) on the total-photon shells 0 .. shells - 1,
     as one zero-padded stack: (index, inside, blocks).
 
     Row s holds shell n1 + n2 = s ordered by ascending n1: index[s, k] is
     the flat index of its k-th state, inside marks the k that exist, and
-    blocks[s] is R on the shell, zero outside. a+ b steps from (n1, n2) to
-    (n1 + 1, n2 - 1) with amplitude sqrt((n1 + 1) n2), so the generator is
-    theta (S - S^T) for S with those hops on its subdiagonal. diag(i^k)
-    carries it to -i theta T with T = S + S^T real symmetric, whence
-    R_kl = i^(k - l) (cos(theta T) - i sin(theta T))_kl. T is bipartite, so
-    cos(theta T) lives on even offsets k - l and sin(theta T) on odd ones,
-    and R_kl is (-1)^floor((k - l) / 2) times the one its parity selects:
-    real, from one real eigh of the stack of T. A padded site has no hop,
-    so it never mixes into a shell. The truncated mixer never leaves a
-    shell, so the blocks are exact on truncated shells too.
+    blocks[s] is R on the shell. a+ b hops sqrt((n1 + 1) n2) up the row, and
+    diag(i^k) carries the generator to -i theta T, so R_kl is
+    (-1)^floor((k - l) / 2) times the real _chain_trig entry: exact on
+    truncated shells too, since the mixer never leaves a shell.
     """
     size = min(shells, dim1, dim2)
     total = np.arange(shells)[:, None]
@@ -147,31 +128,20 @@ def _shell_stack(theta: float, dim1: int, dim2: int, shells: int):
     inside = n1 <= np.minimum(total, dim1 - 1)
     # the hop k -> k + 1 exists where site k + 1 does
     hop = np.where(inside[:, 1:], (n1[:, :-1] + 1.0) * (total - n1[:, :-1]), 0.0)
-    hop = np.sqrt(hop)
-    ham = np.zeros((shells, size, size))
-    k = np.arange(size - 1)
-    ham[:, k + 1, k] = ham[:, k, k + 1] = hop
-    w, u = np.linalg.eigh(ham)
-    trig = np.stack((np.cos(theta * w), np.sin(theta * w)), axis=1)
-    cos_part, sin_part = np.moveaxis(
-        (u[:, None] * trig[..., None, :]) @ np.swapaxes(u, 1, 2)[:, None], 1, 0
-    )
-    offset = np.arange(size)[:, None] - np.arange(size)[None, :]
-    sign = np.where(offset // 2 % 2, -1.0, 1.0)
-    blocks = sign * np.where(offset % 2, sin_part, cos_part)
-    blocks *= inside[:, :, None] & inside[:, None, :]
+    offset = np.arange(size)[:, None] - np.arange(size)
+    blocks = np.where(offset // 2 % 2, -1.0, 1.0) * _chain_trig(np.sqrt(hop), theta)
     return n1 * dim2 + (total - n1), inside, blocks
 
 
-def _block_diagonal(index, inside, blocks, size: int) -> np.ndarray:
-    """The real size x size matrix with blocks[s] on the rows and columns
-    index[s, inside[s]], zero elsewhere."""
-    pick = inside[:, :, None] & inside[:, None, :]
-    out = np.zeros((size, size))
-    rows = np.broadcast_to(index[:, :, None], pick.shape)[pick]
-    cols = np.broadcast_to(index[:, None, :], pick.shape)[pick]
-    out[rows, cols] = blocks[pick]
-    return out
+def _diagonal_stack(p: complex, dim: int):
+    """TMS(p) = exp(p* a b - p a+ b+) per n1 - n2 diagonal ordered by ascending
+    n2, as one zero-padded stack (index, inside, blocks); a b hops sqrt(n1 n2)."""
+    offset = np.arange(1 - dim, dim)[:, None]
+    n2 = np.maximum(0, -offset) + np.arange(dim)
+    n1 = n2 + offset
+    inside = np.arange(dim) < dim - np.abs(offset)
+    hops = np.sqrt(n1[:, 1:] * n2[:, 1:] * inside[:, 1:])
+    return np.where(inside, n1 * dim + n2, 0), inside, _chain_gate(hops, p)
 
 
 def mode_rotation_unitary(rot: ModeRotation, dim1: int, dim2: int) -> np.ndarray:
@@ -201,8 +171,8 @@ def squeeze_composition(rot: ModeRotation, z1: complex, z2: complex):
     parameters; elsewhere the second quasi mode would need the complementary
     coefficient z1 sin^2 + z2 cos^2 and the factors stop commuting.
     """
-    z1 = complex(z1)
-    z2 = complex(z2)
+    z1 = _check_finite_scalar(z1, "z1")
+    z2 = _check_finite_scalar(z2, "z2")
     p = math.sin(2.0 * rot.theta) * (z2 - z1) / 2.0
     q = z1 * math.cos(rot.theta) ** 2 + z2 * math.sin(rot.theta) ** 2
     return p, q
@@ -258,11 +228,9 @@ def squeeze_identity_residual(
     shell by shell, and only the shells up to input_cap are needed.
     """
     p, q = squeeze_composition(rot, z1, z2)
-    a = ladder_matrix(dim)
-
-    def squeeze(z):
-        return expm_antihermitian(0.5 * (np.conj(z) * (a @ a) - z * (a.T @ a.T)))
-
+    if input_cap < 0:
+        raise ParameterOutOfRange(f"input_cap = {input_cap} is negative")
+    s_1, s_2, s_q = (_squeeze_gate(z, dim) for z in (z1, z2, q))
     top = min(input_cap, 2 * dim - 2)
     index, inside, blocks = _shell_stack(rot.theta, dim, dim, top + 1)
     # one row per probe column (n1 + n2 <= input_cap), over the flat two-mode
@@ -274,22 +242,14 @@ def squeeze_identity_residual(
     m1, m2 = np.divmod(probe, dim)
 
     # S_1(z1) S_2(z2) |m1, m2> = S_1[:, m1] x S_2[:, m2]
-    left = squeeze(z1)[:, m1].T[:, :, None] * squeeze(z2)[:, m2].T[:, None, :]
-    left = left.reshape(m1.size, dim * dim)
+    left = (s_1[:, m1].T[:, :, None] * s_2[:, m2].T[:, None, :]).reshape(m1.size, -1)
 
     right = np.zeros((m1.size, dim * dim), dtype=np.complex128)
     right[:, probe] = r_probe.T
-    s_q = squeeze(q)
     right = (s_q @ right.reshape(m1.size, dim, dim) @ s_q.T).reshape(m1.size, -1)
     if p != 0:
-        for offset in range(1 - dim, dim):
-            n2 = np.arange(max(0, -offset), min(dim, dim - offset))
-            n1 = n2 + offset
-            # ordered by ascending n2, a b steps from (n1, n2) to
-            # (n1 - 1, n2 - 1) with amplitude sqrt(n1 n2)
-            gate = _expm_hopping(np.sqrt(n1[1:] * n2[1:]), p)
-            flat = n1 * dim + n2
-            right[:, flat] = right[:, flat] @ gate.T
+        flat, on, tms = _diagonal_stack(p, dim)
+        right[:, flat[on]] = np.einsum("skl,rsl->rsk", tms, right[:, flat] * on)[:, on]
 
     resid = left[:, probe] - right[:, probe] @ r_probe
     return float(np.linalg.norm(resid, 2))

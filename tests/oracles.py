@@ -4,9 +4,11 @@ The tests compare the per-sector runtime code against these. They build the
 full (2 dim)^2 single-mode-plus-atom matrices and the (2 dim1 dim2)^2
 two-mode matrices of every Hamiltonian variant, so they are slow at large
 dim and serve only as an independent check. csv_rows is the per-row writer
-that the CSV kernel replaced.
+that the CSV kernel replaced. gaussian_composition_residual checks the
+squeeze composition law on 4x4 Bogoliubov matrices, with no truncation.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -26,7 +28,7 @@ from quasicat.fock import (
     expm_antihermitian,
     ladder_matrix,
 )
-from quasicat.modes import decouple_params
+from quasicat.modes import ModeRotation, decouple_params, squeeze_composition
 
 
 class InvalidVariantParams(QuasicatError):
@@ -414,3 +416,38 @@ def csv_rows(table) -> bytes:
     "%.17e"-joined %-format per row, each cell as format(float(v), ".17e")."""
     line = ",".join(["%.17e"] * table.shape[1]) + "\n"
     return "".join(line % tuple(map(float, row)) for row in table).encode()
+
+
+def _bogoliubov(u, v) -> np.ndarray:
+    """M with U+ x U = M x on x = (a, b, a+, b+), for the Gaussian unitary U
+    with U+ (a, b) U = u (a, b) + v (a+, b+). The M of a product U1 U2 is
+    M1 M2 (Weedbrook et al., RMP 84, 621 (2012))."""
+    return np.block([[u, v], [np.conj(v), np.conj(u)]])
+
+
+def _squeeze_pair(z1: complex, z2: complex) -> np.ndarray:
+    """S_1(z1) S_2(z2): S+ a S = cosh(r) a - e^{i phi} sinh(r) a+ for each
+    mode, with z = r e^{i phi}."""
+    r = np.abs([z1, z2])
+    v = -np.exp(1j * np.angle([z1, z2])) * np.sinh(r)
+    return _bogoliubov(np.diag(np.cosh(r)), np.diag(v))
+
+
+def gaussian_composition_residual(rot: ModeRotation, z1: complex, z2: complex) -> float:
+    """2-norm of M[S_1(z1) S_2(z2)] - M[R+ TMS(p) (S(q) x S(q)) R] for the
+    (p, q) of squeeze_composition: the law squeeze_identity_residual checks
+    in Fock space, without truncation.
+
+    R+ a R = cos(theta) a + sin(theta) b, and TMS(p) = exp(p* a b - p a+ b+)
+    takes a to cosh|p| a - e^{i arg p} sinh|p| b+.
+    """
+    p, q = squeeze_composition(rot, z1, z2)
+    c, s = math.cos(rot.theta), math.sin(rot.theta)
+    rotation = _bogoliubov(np.array([[c, s], [-s, c]]), np.zeros((2, 2)))
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    tms = _bogoliubov(
+        math.cosh(abs(p)) * np.eye(2),
+        -cmath.exp(1j * cmath.phase(p)) * math.sinh(abs(p)) * swap,
+    )
+    right = rotation.T @ tms @ _squeeze_pair(q, q) @ rotation
+    return float(np.linalg.norm(_squeeze_pair(z1, z2) - right, 2))

@@ -208,6 +208,11 @@ def test_displacement_creates_coherent():
     assert fid >= 1.0 - 1e-10
 
 
+def test_displacement_refuses_a_single_level():
+    with pytest.raises(DimTooSmall):
+        displacement_matrix(0.0, 1)
+
+
 def test_squeeze_matrix_unitary_and_inverse():
     np.testing.assert_allclose(squeeze_matrix(0.0, 12), np.eye(12), atol=1e-12)
     s = squeeze_matrix(0.3 + 0.1j, 40)

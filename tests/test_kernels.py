@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quasicat.cli as cli
@@ -16,7 +16,15 @@ from quasicat.dynamics import (
     _propagate,
     evolve_exact_jc,
 )
-from quasicat.fock import coherent_state, ladder_matrix
+from quasicat.fock import (
+    _block_diagonal,
+    _chain_gate,
+    coherent_state,
+    displacement_matrix,
+    ladder_matrix,
+    squeeze_matrix,
+)
+from quasicat.modes import _diagonal_stack
 from quasicat.husimi import gabor_plan, gabor_q
 
 
@@ -269,3 +277,61 @@ def test_husimi_wide_uniform_axis_costs_nodes_by_dim():
     # (2K + 18) / spacing, with a spacing of at least 2 pi / (2K + 26)
     reach = np.sqrt(2 * dim + 1)
     assert 0 < nodes.size <= (2 * reach + 18) * (2 * reach + 26) / (2 * np.pi) + 2
+
+
+# chain kernel ---------------------------------------------------------------
+
+# complex parameters of modulus up to 1.5, at any phase
+GATE_PARAM = st.builds(
+    lambda r, phi: r * np.exp(1j * phi),
+    st.floats(0.0, 1.5),
+    st.floats(-np.pi, np.pi),
+)
+
+
+def _assert_unitary(gate):
+    assert np.abs(gate.conj().T @ gate - np.eye(gate.shape[0])).max() <= 1e-13
+
+
+@settings(max_examples=80, deadline=None)
+@given(z=GATE_PARAM, dim=st.integers(2, 40))
+@example(z=1.5j, dim=2)  # each parity chain is one level
+@example(z=-1.5, dim=3)  # the odd chain is one level
+def test_squeeze_gate_matches_dense_expm(z, dim):
+    # leak_tol = 1 lets the gate be checked at any dim; the tail check only
+    # sizes the squeezed vacuum
+    gate = squeeze_matrix(z, dim, leak_tol=1.0)
+    a = ladder_matrix(dim)
+    dense = scipy.linalg.expm(0.5 * (np.conj(z) * (a @ a) - z * (a.T @ a.T)))
+    assert np.abs(gate - dense).max() <= 1e-13
+    _assert_unitary(gate)
+    n = np.arange(dim)
+    assert np.all(gate[(n[:, None] - n[None, :]) % 2 == 1] == 0.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(alpha=GATE_PARAM, dim=st.integers(2, 40))
+@example(alpha=1.5, dim=2)
+def test_displacement_gate_matches_dense_expm(alpha, dim):
+    gate = displacement_matrix(alpha, dim, leak_tol=1.0)
+    a = ladder_matrix(dim)
+    dense = scipy.linalg.expm(alpha * a.T - np.conj(alpha) * a)
+    assert np.abs(gate - dense).max() <= 1e-13
+    _assert_unitary(gate)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=GATE_PARAM, dim=st.integers(2, 12))
+def test_two_mode_squeeze_stack_matches_dense_expm(p, dim):
+    index, inside, blocks = _diagonal_stack(p, dim)
+    gate = _block_diagonal(index, inside, blocks, dim * dim)
+    a = np.kron(ladder_matrix(dim), np.eye(dim))
+    b = np.kron(np.eye(dim), ladder_matrix(dim))
+    dense = scipy.linalg.expm(np.conj(p) * (a @ b) - p * (a.T @ b.T))
+    assert np.abs(gate - dense).max() <= 1e-13
+    _assert_unitary(gate)
+    # each padded row of the stack is the gate of its diagonal alone
+    for s in range(2 * dim - 1):
+        n1, n2 = np.divmod(index[s, inside[s]], dim)
+        alone = _chain_gate(np.sqrt(n1[1:] * n2[1:]), p)
+        assert np.abs(blocks[s, : n1.size, : n1.size] - alone).max() <= 1e-13

@@ -17,6 +17,7 @@ from quasicat import (
     DimTooSmall,
     NonFiniteInput,
     NonUnitPhase,
+    ParameterOutOfRange,
     ZeroDetuning,
     coherent_state,
     decouple_params,
@@ -29,6 +30,8 @@ from quasicat import (
     squeeze_identity_residual,
 )
 from quasicat.modes import total_photon_shell_indices
+
+from oracles import gaussian_composition_residual
 
 
 def test_rotation_params_symmetric():
@@ -254,6 +257,64 @@ def test_squeeze_identity_detects_invalid_composition():
         rotation_params(1.0, 0.5), 0.4, -0.2, dim=30
     )
     assert resid > 0.1
+
+
+SQUEEZE_PARAM = st.builds(complex, st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
+
+
+@settings(max_examples=100, deadline=None)
+@given(theta=st.floats(-math.pi, math.pi), z=SQUEEZE_PARAM)
+def test_gaussian_composition_exact_for_equal_parameters(theta, z):
+    rot = rotation_params(math.cos(theta), math.sin(theta))
+    assert gaussian_composition_residual(rot, z, z) <= 1e-13
+
+
+@settings(max_examples=100, deadline=None)
+@given(z1=st.floats(-1.5, 1.5), z2=st.floats(-1.5, 1.5))
+def test_gaussian_composition_exact_for_balanced_real_parameters(z1, z2):
+    assert gaussian_composition_residual(rotation_params(1.0, 1.0), z1, z2) <= 1e-13
+
+
+def test_gaussian_composition_detects_invalid_composition():
+    rot = rotation_params(1.0, 0.5)
+    assert gaussian_composition_residual(rot, 0.4, -0.2) > 0.1
+
+
+@pytest.mark.parametrize(
+    "g1, g2, z1, z2",
+    [
+        (1.0, 0.7, 0.3 - 0.2j, 0.3 - 0.2j),
+        (-1.0, 0.5, 0.25, 0.25),
+        (1.0, 1.0, 0.1, 0.35),
+        (1.0, 0.7, 0.3, 0.1),
+        (1.0, 1.0, 0.2j, 0.4),
+        (0.3, 1.9, 0.2 + 0.1j, -0.3),
+    ],
+)
+def test_gaussian_composition_agrees_with_fock_check(g1, g2, z1, z2):
+    # both read roundoff on the same inputs and a clear failure on the rest
+    rot = rotation_params(g1, g2)
+    exact = gaussian_composition_residual(rot, z1, z2) <= 1e-13
+    fock = squeeze_identity_residual(rot, z1, z2, dim=30)
+    assert fock < 1e-9 if exact else fock > 1e-2
+
+
+@pytest.mark.parametrize(
+    "z1, z2, name", [(math.nan, 0.2, "z1"), (0.2, complex(0, math.inf), "z2")]
+)
+def test_squeeze_identity_refuses_a_nonfinite_parameter(z1, z2, name):
+    with pytest.raises(NonFiniteInput, match=name):
+        squeeze_identity_residual(rotation_params(1.0, 0.7), z1, z2, dim=12)
+
+
+def test_squeeze_identity_refuses_a_negative_input_cap():
+    with pytest.raises(ParameterOutOfRange, match="input_cap"):
+        squeeze_identity_residual(rotation_params(1.0, 0.7), 0.2, 0.2, 12, -1)
+
+
+def test_squeeze_identity_refuses_a_single_level():
+    with pytest.raises(DimTooSmall):
+        squeeze_identity_residual(rotation_params(1.0, 0.7), 0.2, 0.2, dim=1)
 
 
 def test_validate_runs_without_scipy(tmp_path):
