@@ -81,7 +81,6 @@ from .modes import (
     rotation_params,
     squeeze_composition,
     squeeze_identity_residual,
-    total_photon_shell_indices,
 )
 
 SCHEMA_VERSION = 1
@@ -328,26 +327,37 @@ def _time_chunks(times: np.ndarray, dim: int, *rate_sets):
         yield chunk, *(a * table[rows] for a, table in zip(anchors, offsets))
 
 
-def _check_resolved(key: str, t_max: float, *rate_sets):
-    """Refuse a time axis up to t_max whose largest phase |rate t| doubles
-    resolve no better than NORM_TOL: there one ulp of the key moves the
-    state by more than a norm check allows."""
-    phase = t_max * max(float(np.abs(rates).max()) for rates in rate_sets)
+def _time_series(psi, times, key: str, models, observe):
+    """(rows, worst_norm): each (rates, field) model propagates the quasi
+    tensor psi directly from t = 0 over the chunks of _time_chunks, and
+    each chunk adds rows (t, *observe(*stacks)), one stack per model. No
+    stack is renormalized; worst_norm is the largest |norm - 1|. An axis
+    whose largest |rate t| doubles resolve no better than NORM_TOL is
+    refused first, naming key, whose ulp would move the state by more."""
+    rate_sets = [rates for rates, _ in models]
+    phase = float(np.abs(times).max()) * max(float(np.abs(r).max()) for r in rate_sets)
     if not sys.float_info.epsilon * phase <= NORM_TOL:
         raise ParameterOutOfRange(
             f"{key}: phase arguments |rate t| up to {phase:.3g} are not"
             f" resolved to {NORM_TOL:g} in double precision"
         )
+    blocks = []
+    worst_norm = 0.0
+    for chunk, *factors in _time_chunks(times, psi.shape[0], *rate_sets):
+        stacks = [_propagate(psi, field, at) for (_, field), at in zip(models, factors)]
+        worst_norm = max(worst_norm, *map(norm_deviation, stacks))
+        blocks.append(np.column_stack((chunk, *observe(*stacks))))
+    return np.concatenate(blocks), worst_norm
 
 
-def _sector_stack(sectors):
-    """(index, inside): the sectors as rows of one zero-padded index array,
-    inside marking the entries that exist."""
-    sizes = np.array([idx.size for idx in sectors])
-    inside = np.arange(sizes.max()) < sizes[:, None]
-    index = np.zeros(inside.shape, dtype=np.intp)
-    index[inside] = np.concatenate(sectors)
-    return index, inside
+def _quasi_state(mu, cfg) -> SystemState:
+    """|mu>|0>|atom> in the quasi basis, at --dim or coherent_dim(mu): quasi
+    mode II never couples, so |nu> stays analytic, in a size-1 slot."""
+    atom = _atom_amps(cfg)
+    dim1 = cfg["dim"] or coherent_dim(mu, cfg["leak_tol"])
+    return product_state(
+        coherent_state(mu, dim1, cfg["leak_tol"]), basis_state(0, 1), atom, "quasi"
+    )
 
 
 def _sector_blocks(hamiltonian, index, inside):
@@ -426,7 +436,7 @@ def run_validate(cfg: dict) -> RunReport:
     # the largest sector norm; excitation_commutator shows nothing is dropped.
     # The Hamiltonians come as coupling triplets, added straight into the
     # sector blocks: no (2 dim^2)^2 matrix is formed
-    index, inside = _sector_stack(excitation_sectors(dim, dim))
+    index, inside = excitation_sectors(dim, dim)
     int_blocks, crossing = _sector_blocks(
         build_hamiltonian(cfg["g1"], cfg["g2"], cfg["delta"], dim), index, inside
     )
@@ -439,11 +449,10 @@ def run_validate(cfg: dict) -> RunReport:
     both = inside[:, :, None] & inside[:, None, :]
     rotation_blocks = rotation[modes[:, :, None], modes[:, None, :]] * both
     conjugated = rotation_blocks @ int_blocks @ np.swapaxes(rotation_blocks, 1, 2)
-    shell = total_photon_shell_indices(dim)
-    trusted = np.zeros(2 * dim * dim, dtype=bool)
-    trusted[np.concatenate([2 * shell, 2 * shell + 1])] = True
-    # zeroing the untrusted columns leaves the 2-norm over the trusted ones
-    keep = trusted[index] & inside
+    # the trusted columns lie on the shells n1 + n2 <= dim - 2; zeroing the
+    # others leaves the 2-norm over the trusted ones
+    shell = np.indices((dim, dim)).sum(axis=0)
+    keep = (shell.ravel()[modes] <= dim - 2) & inside
     some = keep.any(axis=1)
     kept = keep[some][:, None, :]
     diff = (conjugated[some] - quasi_blocks[some]) * kept
@@ -470,10 +479,9 @@ def run_validate(cfg: dict) -> RunReport:
     # versus rotate, analytic blocks, rotate back. Each trial draws its real
     # parts, then its imaginary parts
     trials = cfg["trials"]
-    n = np.arange(dim)
     draws = rng.normal(size=(trials, 2, dim, dim, 2))
     tensors = draws[:, 0] + 1j * draws[:, 1]
-    tensors[:, n[:, None] + n[None, :] > dim - 2] = 0.0
+    tensors[:, shell > dim - 2] = 0.0
     tensors /= np.linalg.norm(tensors.reshape(trials, -1), axis=1)[:, None, None, None]
     flat = tensors.reshape(trials, -1)
     by_sector = propagator.evolve_flat(flat[:, index] * inside, cfg["t"])
@@ -563,12 +571,8 @@ def run_zero_detuning(cfg: dict) -> RunReport:
     if nbar <= 0:
         raise ConfigInvalid("need a positive mean photon number")
 
-    atom = _atom_amps(cfg)
-    dim1 = cfg["dim"] or coherent_dim(mu, cfg["leak_tol"])
-    # quasi mode II never couples: |nu> stays analytic, in a size-1 slot
-    state = product_state(
-        coherent_state(mu, dim1, cfg["leak_tol"]), basis_state(0, 1), atom, "quasi"
-    )
+    state = _quasi_state(mu, cfg)
+    dim1 = state.tensor.shape[0]
 
     revival = half_revival_time(nbar, rot.g)
     t_star = protocol_time(nbar, rot.g)
@@ -580,20 +584,12 @@ def run_zero_detuning(cfg: dict) -> RunReport:
         [cat_target(mu, conv, dim1, cfg["leak_tol"]).amps for conv in conventions]
     )
 
-    # every time is propagated directly from t = 0; a norm off 1 is refused,
-    # not renormalized, and the largest deviation is reported
-    blocks = []
-    worst_norm = 0.0
-    rates, field = _jc_model(state.tensor, rot.g, 0.0)
-    _check_resolved("t_max", t_max, rates)
-    for chunk, factors in _time_chunks(times, dim1, rates):
-        stack = _propagate(state.tensor, field, factors)
-        worst_norm = max(worst_norm, norm_deviation(stack))
-        inversion, purity = atom_inversion_purity(stack)
+    def observe(stack):
         fid = mode_overlaps(stack, cats).max(axis=-1)
-        blocks.append(
-            np.column_stack((chunk, inversion, purity, fid, mode_mean_photon(stack)))
-        )
+        return (*atom_inversion_purity(stack), fid, mode_mean_photon(stack))
+
+    model = _jc_model(state.tensor, rot.g, 0.0)
+    rows, worst_norm = _time_series(state.tensor, times, "t_max", [model], observe)
 
     star_state = evolve_exact_jc(state, t_star, rot.g, 0.0)
     fid_by_conv = dict(zip(conventions, mode_overlaps(star_state, cats).tolist()))
@@ -620,7 +616,7 @@ def run_zero_detuning(cfg: dict) -> RunReport:
         "zero-detuning",
         summary,
         "t,atomic_inversion,atomic_purity,cat_fidelity,mean_photon_mode_i",
-        np.concatenate(blocks),
+        rows,
     )
 
 
@@ -643,12 +639,7 @@ def run_large_detuning(cfg: dict) -> RunReport:
         )
     nbar = cfg["nbar"]
     mu = math.sqrt(nbar)
-    atom = _atom_amps(cfg)
-    dim1 = cfg["dim"] or coherent_dim(mu, cfg["leak_tol"])
-
-    init = product_state(
-        coherent_state(mu, dim1, cfg["leak_tol"]), basis_state(0, 1), atom, "quasi"
-    )
+    init = _quasi_state(mu, cfg)
 
     # the states at t' are measured; evolve_effective also refuses (or warns
     # about) the ratio. The oracle is the exact block solution of the quasiJC
@@ -656,22 +647,13 @@ def run_large_detuning(cfg: dict) -> RunReport:
     effective_state = evolve_effective(init, t_prime, g, delta)
     oracle_state = evolve_exact_jc(init, t_prime, g, delta)
     times = np.linspace(0.0, t_prime, cfg["t_steps"])
-    blocks = []
-    worst_norm = 0.0
-    jc_rates, jc_field = _jc_model(init.tensor, g, delta)
-    effective_rates, effective_field = _effective_model(init.tensor, g, delta)
-    _check_resolved("ratio", t_prime, jc_rates, effective_rates)
-    for chunk, jc_factors, effective_factors in _time_chunks(
-        times, dim1, jc_rates, effective_rates
-    ):
-        oracle = _propagate(init.tensor, jc_field, jc_factors)
-        effective = _propagate(init.tensor, effective_field, effective_factors)
-        worst_norm = max(worst_norm, norm_deviation(oracle), norm_deviation(effective))
+
+    def observe(oracle, effective):
         overlap = np.sum(np.conj(oracle) * effective, axis=(-3, -2, -1))
-        blocks.append(
-            np.column_stack((chunk, np.abs(overlap) ** 2, atomic_inversion(oracle)))
-        )
-    rows = np.concatenate(blocks)
+        return np.abs(overlap) ** 2, atomic_inversion(oracle)
+
+    models = [_jc_model(init.tensor, g, delta), _effective_model(init.tensor, g, delta)]
+    rows, worst_norm = _time_series(init.tensor, times, "ratio", models, observe)
 
     # branch analysis on the dispersive prediction: the protocol's two
     # entangled-coherent outputs live there; the oracle enters through the
@@ -683,7 +665,7 @@ def run_large_detuning(cfg: dict) -> RunReport:
         "delta": delta,
         "nbar": nbar,
         "mu": mu,
-        "dim1": dim1,
+        "dim1": init.tensor.shape[0],
         "t_prime": t_prime,
         "prob_plus": plus.probability,
         "prob_minus": minus.probability,

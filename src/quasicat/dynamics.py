@@ -37,6 +37,7 @@ from .errors import (
 from .fock import (
     LEAK_TOL,
     FockVector,
+    _stack_by,
     coherent_nbar,
     coherent_state,
     expm_antihermitian,  # noqa: F401  perfbench/spans.py patches this name
@@ -191,17 +192,16 @@ def excitation_diagonal(dim1: int, dim2: int) -> np.ndarray:
     return (n1 + n2 + 0.5 * SIGMA_Z.diagonal().real).ravel()
 
 
-def excitation_sectors(dim1: int, dim2: int) -> list:
-    """Flat indices of each excitation sector, in increasing excitation.
+def excitation_sectors(dim1: int, dim2: int):
+    """The excitation sectors, in increasing excitation, as the zero-padded
+    stack (index, inside) of fock._stack_by over the label n1 + n2 + [upper].
 
     The interaction, the quasi-mode JC model and the mode rotation conserve
     the excitation count, so they are block-diagonal on these index sets.
     Sector k + 1/2 holds (n1 + n2 = k, upper) and (n1 + n2 = k + 1, lower);
     with dim1 = dim2 = d there are 2d sectors of at most 2d - 1 states.
     """
-    number = excitation_diagonal(dim1, dim2)
-    order = np.argsort(number, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(number[order])) + 1)
+    return _stack_by(np.indices((dim1, dim2, 2)).sum(axis=0), dim1 + dim2)
 
 
 class HermitianPropagator:

@@ -11,6 +11,12 @@ one real eigh per chain (_chain_gate), so they are unitary to roundoff on
 the whole retained space (trusted-block buffer 0), not just away from the
 edge. The canonical commutator [a, a+] still breaks on the last row; tests
 that probe it must stop at n < dim - 1.
+
+Every conserved quantity splits a basis into blocks: photon-number parity
+for S(z), and across the package the total-photon shells, the n1 - n2
+diagonals and the excitation sectors. One builder, _stack_by, lays any of
+them out as a zero-padded stack of flat indices from an integer label per
+basis state.
 """
 
 from __future__ import annotations
@@ -257,6 +263,20 @@ def _chain_gate(hops: np.ndarray, c: complex) -> ComplexMatrix:
     return _chain_trig(hops, abs(c)) * phase * np.where(offset % 2, -1j, 1.0)
 
 
+def _stack_by(label: np.ndarray, count: int):
+    """(index, inside): row s of index holds the flat indices where label is
+    s, ascending and zero-padded, for s = 0 .. count - 1; inside marks the
+    entries that exist. Labels are nonnegative, and those >= count are left
+    out."""
+    label = np.ravel(label)
+    flat = np.flatnonzero(label < count)
+    sizes = np.bincount(label[flat], minlength=count)
+    inside = np.arange(sizes.max(initial=0)) < sizes[:, None]
+    index = np.zeros(inside.shape, dtype=np.intp)
+    index[inside] = flat[np.argsort(label[flat], kind="stable")]
+    return index, inside
+
+
 def _block_diagonal(index, inside, blocks, size: int) -> np.ndarray:
     """The size x size matrix with blocks[s] on the rows and columns
     index[s, inside[s]], zero elsewhere."""
@@ -272,8 +292,7 @@ def _squeeze_gate(z: complex, dim: int) -> ComplexMatrix:
     S(z) is the chain gate with c = z/2 on the even and on the odd levels."""
     if dim < 2:
         raise DimTooSmall("the squeeze gate needs dim >= 2")
-    levels = np.arange(2)[:, None] + np.arange(0, dim, 2)
-    inside = levels < dim
+    levels, inside = _stack_by(np.arange(dim) % 2, 2)
     hops = np.sqrt((levels[:, :-1] + 1.0) * (levels[:, :-1] + 2.0)) * inside[:, 1:]
     return _block_diagonal(levels, inside, _chain_gate(hops, 0.5 * z), dim)
 

@@ -12,6 +12,7 @@ dispersively shifted oscillators when the detunings differ.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ from .errors import (
     ParameterOutOfRange,
     ZeroDetuning,
 )
-from .fock import _block_diagonal, _chain_gate, _chain_trig, _squeeze_gate
+from .fock import _block_diagonal, _chain_gate, _chain_trig, _squeeze_gate, _stack_by
 from .fock import _check_finite_scalar
 
 PHYSICAL = "physical"
@@ -77,15 +78,21 @@ def rotation_params(g1: float, g2: float) -> ModeRotation:
     """Build the quasi-mode rotation from two real couplings.
 
     theta lands in [0, pi/2] for nonnegative couplings; g2 = 0 means quasi
-    mode I coincides with physical mode 1.
+    mode I coincides with physical mode 1. A nonzero pair whose g1^2 + g2^2
+    falls below the smallest normal float is refused: there g = sqrt(g1^2 +
+    g2^2) loses its relative accuracy, or the sum underflows to 0.
     """
     g1 = float(g1)
     g2 = float(g2)
     gsq = g1 * g1 + g2 * g2
     if not math.isfinite(gsq):
         raise NonFiniteInput(f"g1^2 + g2^2 is not finite for g1 = {g1}, g2 = {g2}")
-    if gsq == 0.0:
+    if g1 == g2 == 0.0:
         raise BothCouplingsZero("g1 = g2 = 0 leaves the rotation undefined")
+    if gsq < sys.float_info.min:
+        raise NonFiniteInput(
+            f"g1^2 + g2^2 = {gsq:g} underflows for g1 = {g1}, g2 = {g2}"
+        )
     return ModeRotation(math.atan2(g2, g1), math.sqrt(gsq), g1, g2)
 
 
@@ -122,26 +129,22 @@ def _shell_stack(theta: float, dim1: int, dim2: int, shells: int):
     (-1)^floor((k - l) / 2) times the real _chain_trig entry: exact on
     truncated shells too, since the mixer never leaves a shell.
     """
-    size = min(shells, dim1, dim2)
-    total = np.arange(shells)[:, None]
-    n1 = np.maximum(0, total - dim2 + 1) + np.arange(size)
-    inside = n1 <= np.minimum(total, dim1 - 1)
-    # the hop k -> k + 1 exists where site k + 1 does
-    hop = np.where(inside[:, 1:], (n1[:, :-1] + 1.0) * (total - n1[:, :-1]), 0.0)
-    offset = np.arange(size)[:, None] - np.arange(size)
-    blocks = np.where(offset // 2 % 2, -1.0, 1.0) * _chain_trig(np.sqrt(hop), theta)
-    return n1 * dim2 + (total - n1), inside, blocks
+    index, inside = _stack_by(np.indices((dim1, dim2)).sum(axis=0), shells)
+    # the hop into site k + 1 at (n1, n2) is sqrt(n1 (n2 + 1)); padding reads 0
+    n1, n2 = np.divmod(index[:, 1:], dim2)
+    offset = np.arange(inside.shape[1])[:, None] - np.arange(inside.shape[1])
+    hops = np.sqrt(n1 * (n2 + 1.0))
+    blocks = np.where(offset // 2 % 2, -1.0, 1.0) * _chain_trig(hops, theta)
+    return index, inside, blocks
 
 
 def _diagonal_stack(p: complex, dim: int):
     """TMS(p) = exp(p* a b - p a+ b+) per n1 - n2 diagonal ordered by ascending
     n2, as one zero-padded stack (index, inside, blocks); a b hops sqrt(n1 n2)."""
-    offset = np.arange(1 - dim, dim)[:, None]
-    n2 = np.maximum(0, -offset) + np.arange(dim)
-    n1 = n2 + offset
-    inside = np.arange(dim) < dim - np.abs(offset)
-    hops = np.sqrt(n1[:, 1:] * n2[:, 1:] * inside[:, 1:])
-    return np.where(inside, n1 * dim + n2, 0), inside, _chain_gate(hops, p)
+    n = np.arange(dim)
+    index, inside = _stack_by(n[:, None] - n + dim - 1, 2 * dim - 1)
+    n1, n2 = np.divmod(index[:, 1:], dim)
+    return index, inside, _chain_gate(np.sqrt(n1 * n2), p)
 
 
 def mode_rotation_unitary(rot: ModeRotation, dim1: int, dim2: int) -> np.ndarray:

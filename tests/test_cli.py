@@ -885,6 +885,11 @@ def test_broken_time_axis_is_numeric_error(
         # at this t_max: noise, with exit 0
         (["large-detuning", "--nbar", "0.5", "--ratio", "1e8"], "ratio"),
         (["zero-detuning", "--nbar", "9", "--t-max", "1e17"], "t_max"),
+        # the check reads |t|: a negative ratio gives t' < 0, and prob_plus
+        # read 0.744 at -1e8, and 0.655 and 0.228 one ulp to either side
+        (["large-detuning", "--nbar", "0.5", "--ratio=-1e8"], "ratio"),
+        (["zero-detuning", "--t-max", "1e12"], "t_max"),
+        (["zero-detuning", "--t-max=-1e12"], "t_max"),
         # |rate t| reaches 7.9e9, where prob_plus moved 6e-7 per ulp
         (["large-detuning", "--ratio", "1e5"], "ratio"),
     ],
@@ -894,6 +899,15 @@ def test_phases_doubles_cannot_resolve_are_refused(tmp_path, capsys, argv, named
     assert main([*argv, "--t-steps", "3", "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"run error (ParameterOutOfRange): {named}: phase")
+    assert not out.exists()
+
+
+def test_underflowing_coupling_sum_is_numeric_error(tmp_path, capsys):
+    # g1^2 is subnormal here, so g_total and revival_time came out 0.6% off
+    out = tmp_path / "o"
+    argv = ["zero-detuning", "--g1", "1e-161", "--g2", "0", "--t-steps", "3"]
+    assert main([*argv, "--out", str(out)]) == 3
+    assert "underflows" in capsys.readouterr().err
     assert not out.exists()
 
 

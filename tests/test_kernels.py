@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import quasicat.cli as cli
 from quasicat.analysis import DensityMatrix, husimi_q
@@ -19,6 +20,7 @@ from quasicat.dynamics import (
 from quasicat.fock import (
     _block_diagonal,
     _chain_gate,
+    _stack_by,
     coherent_state,
     displacement_matrix,
     ladder_matrix,
@@ -318,6 +320,28 @@ def test_displacement_gate_matches_dense_expm(alpha, dim):
     dense = scipy.linalg.expm(alpha * a.T - np.conj(alpha) * a)
     assert np.abs(gate - dense).max() <= 1e-13
     _assert_unitary(gate)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    label=arrays(
+        np.int64, array_shapes(max_dims=3, max_side=6), elements=st.integers(0, 9)
+    ),
+    count=st.integers(1, 8),
+)
+def test_stack_by_partitions_the_labels_below_count(label, count):
+    # every block layout (shells, n1 - n2 diagonals, parities, excitation
+    # sectors) is this one stack of a label per flat index
+    index, inside = _stack_by(label, count)
+    label = label.ravel()
+    kept = np.flatnonzero(label < count)
+    sizes = np.bincount(label[kept], minlength=count)
+    assert np.array_equal(inside, np.arange(sizes.max()) < sizes[:, None])
+    assert not np.any(index[~inside])
+    assert np.array_equal(np.sort(index[inside]), kept)
+    for s, (row, on) in enumerate(zip(index, inside)):
+        assert np.all(label[row[on]] == s)
+        assert np.all(np.diff(row[on]) > 0)
 
 
 @settings(max_examples=60, deadline=None)

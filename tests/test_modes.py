@@ -64,6 +64,23 @@ def test_rotation_params_rejects_overflowing_coupling(g1, g2):
         rotation_params(g1, g2)
 
 
+def test_rotation_params_keeps_couplings_whose_square_is_normal():
+    # 1.5e-154^2 = 2.25e-308 sits just above the smallest normal float
+    rot = rotation_params(1.5e-154, 0.0)
+    assert rot.g == 1.5e-154
+    assert rot.theta == 0.0
+
+
+@pytest.mark.parametrize(
+    "g1, g2",
+    # a subnormal sum put g 0.6% off; at 1e-162 the sum underflows to 0
+    [(1e-161, 0.0), (1e-162, 0.0), (0.0, -1e-162), (1e-162, 1e-162)],
+)
+def test_rotation_params_refuses_an_underflowing_coupling_sum(g1, g2):
+    with pytest.raises(NonFiniteInput, match="underflows"):
+        rotation_params(g1, g2)
+
+
 def test_rotate_amplitudes_symmetric_concentrates():
     rot = rotation_params(1.0, 1.0)
     alpha = 0.8 - 0.3j
