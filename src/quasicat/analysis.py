@@ -205,12 +205,6 @@ def atom_purity(state):
     return _purity(_atom_density(state))
 
 
-def atom_inversion_purity(state):
-    """(atomic_inversion, atom_purity) of each state, from one atom density."""
-    rho = _atom_density(state)
-    return _inversion(rho), _purity(rho)
-
-
 def mode_overlaps(state, rays) -> np.ndarray:
     """<ray|rho_1|ray> of each state's mode-1 reduced state, for each row of
     rays (n_rays, dim1), ray axis last; pure_overlap without forming rho_1."""

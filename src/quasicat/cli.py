@@ -31,21 +31,20 @@ from . import __version__
 from .analysis import (
     DensityMatrix,
     PhaseSpaceGrid,
-    atom_inversion_purity,
     atom_purity,
-    atomic_inversion,
     husimi_q,
-    mode_mean_photon,
     mode_overlaps,
 )
 from .dynamics import (
     HermitianPropagator,
     SystemState,
-    NORM_TOL,
+    SIGMA_Z,
+    _bilinear,
     _effective_model,
+    _exp_sums,
     _jc_model,
-    _phase_factors,
-    _propagate,
+    _self_sums,
+    _tracks,
     build_hamiltonian,
     cat_target,
     adiabatic_residual,
@@ -68,7 +67,6 @@ from .errors import (
     NonFiniteInput,
     NonFiniteOutput,
     NormViolation,
-    ParameterOutOfRange,
     QuasicatError,
 )
 from .fock import LEAK_TOL, basis_state, coherent_dim, coherent_nbar, coherent_state
@@ -90,9 +88,7 @@ VALIDATE_TOL = 1e-6
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
-# zero- and large-detuning propagate their time axis in chunks of this many
-# (time, level) amplitude pairs, so memory stays bounded at any dim
-CHUNK_PAIRS = 2048
+SIGN = SIGMA_Z.diagonal().real  # sigma_z on the atom levels (lower, upper)
 
 # qfunc peaks whose Q agree to this relative tolerance are listed by position
 PEAK_TIE_RTOL = 1e-12
@@ -296,58 +292,36 @@ def _atom_amps(cfg) -> np.ndarray:
     return atom
 
 
-def _axis_blocks(steps: int, dim: int):
-    """(chunk, span) for a time axis of `steps` times at truncation dim:
-    chunks of at most CHUNK_PAIRS // dim times bound the memory; blocks of
-    `span` times, the fewest whole chunks that hold ceil(sqrt(steps))
-    times, share one anchor row of phase factors."""
-    chunk = max(1, CHUNK_PAIRS // dim)
-    return chunk, chunk * -(-(math.isqrt(steps - 1) + 1) // chunk)
+def _resonant_rows(psi, times, g, cats):
+    """(rows, worst_norm) of the zero-detuning axis: t, inversion, purity
+    (from P(lower), P(upper) and the coherence rho_01), the best fidelity
+    to a row of cats (summed over both levels) and <n>; worst_norm is the
+    largest |norm - 1|."""
+    (track,) = _tracks(psi, times, "t_max", _jc_model(psi, g, 0.0))
+    number = np.arange(psi.shape[0])[:, None]
+    norm_sq, inversion, photons = _self_sums(track, times, 1.0, SIGN, number)
+    upper, lower = ([part[:, level] for part in track] for level in (1, 0))
+    coherence = _exp_sums(*_bilinear(upper, lower, 1.0), times)[:, 0]
+    purity = 0.5 * (norm_sq**2 + inversion**2) + 2.0 * np.abs(coherence) ** 2
+    # the constant 1 is the track of rate 0, so a linear form is bilinear
+    unit = (np.zeros(1), np.ones(1), np.zeros(1))
+    rays = [ray[:, None] * level for ray in cats.conj() for level in np.eye(2)]
+    amps = _exp_sums(*_bilinear(unit, track, *rays), times).reshape(-1, len(cats), 2)
+    fid = np.sum(amps.real**2 + amps.imag**2, axis=-1).max(axis=-1)
+    rows = np.column_stack((times, inversion, purity, fid, photons))
+    return rows, norm_deviation(None, np.sqrt(norm_sq))
 
 
-def _time_chunks(times: np.ndarray, dim: int, *rate_sets):
-    """Consecutive chunks of a uniform time axis times[k] = k h, as
-    np.linspace(0, T, steps) gives, with the factors e^{i rate t} of each
-    rate set at the chunk's times (see _axis_blocks for the sizes).
-
-    The first row of each block is the anchor e^{i rate times[start]},
-    evaluated directly. Every other row is the anchor times a row of the
-    offset table e^{i rate k h}, k < span, built once. So an axis takes
-    span + ceil(steps / span) rows of exponentials, about 2 sqrt(steps)
-    where a chunk is shorter than sqrt(steps), in place of steps rows.
-    """
-    step, span = _axis_blocks(times.size, dim)
-    offsets = [_phase_factors(rates, times[:span]) for rates in rate_sets]
-    for start in range(0, times.size, step):
-        lag = start % span
-        if lag == 0:
-            anchors = [_phase_factors(rates, times[start]) for rates in rate_sets]
-        chunk = times[start : start + step]
-        rows = slice(lag, lag + chunk.size)
-        yield chunk, *(a * table[rows] for a, table in zip(anchors, offsets))
-
-
-def _time_series(psi, times, key: str, models, observe):
-    """(rows, worst_norm): each (rates, field) model propagates the quasi
-    tensor psi directly from t = 0 over the chunks of _time_chunks, and
-    each chunk adds rows (t, *observe(*stacks)), one stack per model. No
-    stack is renormalized; worst_norm is the largest |norm - 1|. An axis
-    whose largest |rate t| doubles resolve no better than NORM_TOL is
-    refused first, naming key, whose ulp would move the state by more."""
-    rate_sets = [rates for rates, _ in models]
-    phase = float(np.abs(times).max()) * max(float(np.abs(r).max()) for r in rate_sets)
-    if not sys.float_info.epsilon * phase <= NORM_TOL:
-        raise ParameterOutOfRange(
-            f"{key}: phase arguments |rate t| up to {phase:.3g} are not"
-            f" resolved to {NORM_TOL:g} in double precision"
-        )
-    blocks = []
-    worst_norm = 0.0
-    for chunk, *factors in _time_chunks(times, psi.shape[0], *rate_sets):
-        stacks = [_propagate(psi, field, at) for (_, field), at in zip(models, factors)]
-        worst_norm = max(worst_norm, *map(norm_deviation, stacks))
-        blocks.append(np.column_stack((chunk, *observe(*stacks))))
-    return np.concatenate(blocks), worst_norm
+def _dispersive_rows(psi, times, g, delta):
+    """(rows, worst_norm) of the large-detuning axis: t, the fidelity of the
+    dispersive model to the exact oracle, and the oracle's inversion."""
+    models = [_jc_model(psi, g, delta), _effective_model(psi, g, delta)]
+    oracle, effective = _tracks(psi, times, "ratio", *models)
+    norm_sq, inversion = _self_sums(oracle, times, 1.0, SIGN)
+    (effective_sq,) = _self_sums(effective, times, 1.0)
+    overlap = _exp_sums(*_bilinear(oracle, effective, 1.0), times)[:, 0]
+    rows = np.column_stack((times, np.abs(overlap) ** 2, inversion))
+    return rows, norm_deviation(None, np.sqrt(np.concatenate((norm_sq, effective_sq))))
 
 
 def _quasi_state(mu, cfg) -> SystemState:
@@ -584,12 +558,7 @@ def run_zero_detuning(cfg: dict) -> RunReport:
         [cat_target(mu, conv, dim1, cfg["leak_tol"]).amps for conv in conventions]
     )
 
-    def observe(stack):
-        fid = mode_overlaps(stack, cats).max(axis=-1)
-        return (*atom_inversion_purity(stack), fid, mode_mean_photon(stack))
-
-    model = _jc_model(state.tensor, rot.g, 0.0)
-    rows, worst_norm = _time_series(state.tensor, times, "t_max", [model], observe)
+    rows, worst_norm = _resonant_rows(state.tensor, times, rot.g, cats)
 
     star_state = evolve_exact_jc(state, t_star, rot.g, 0.0)
     fid_by_conv = dict(zip(conventions, mode_overlaps(star_state, cats).tolist()))
@@ -643,17 +612,13 @@ def run_large_detuning(cfg: dict) -> RunReport:
 
     # the states at t' are measured; evolve_effective also refuses (or warns
     # about) the ratio. The oracle is the exact block solution of the quasiJC
-    # Hamiltonian; each track is propagated directly from t = 0
+    # Hamiltonian; the axis sums both tracks in closed form, so no error
+    # accumulates from step to step
     effective_state = evolve_effective(init, t_prime, g, delta)
     oracle_state = evolve_exact_jc(init, t_prime, g, delta)
     times = np.linspace(0.0, t_prime, cfg["t_steps"])
 
-    def observe(oracle, effective):
-        overlap = np.sum(np.conj(oracle) * effective, axis=(-3, -2, -1))
-        return np.abs(overlap) ** 2, atomic_inversion(oracle)
-
-    models = [_jc_model(init.tensor, g, delta), _effective_model(init.tensor, g, delta)]
-    rows, worst_norm = _time_series(init.tensor, times, "ratio", models, observe)
+    rows, worst_norm = _dispersive_rows(init.tensor, times, g, delta)
 
     # branch analysis on the dispersive prediction: the protocol's two
     # entangled-coherent outputs live there; the oracle enters through the

@@ -62,6 +62,10 @@ RATIO_HARD_FLOOR = 5.0
 # a state whose norm is off 1 by more than this is refused
 NORM_TOL = 1e-6
 
+# a time axis forms at most this many anchor-scaled weights at once (see
+# _exp_sums), so its memory stays bounded at any dim
+GROUP_CELLS = 2**18
+
 
 @dataclass
 class SystemState:
@@ -90,14 +94,16 @@ class SystemState:
         return self.tensor.reshape(-1)
 
 
-def norm_deviation(stack: np.ndarray, norms: Optional[np.ndarray] = None) -> float:
+def norm_deviation(stack, norms: Optional[np.ndarray] = None) -> float:
     """Largest |norm - 1| over a (..., dim1, dim2, atom) amplitude stack (or
-    of the given norms); refuses a non-finite amplitude or one above NORM_TOL
-    as SystemState does, but renormalizes nothing."""
-    flat = stack.reshape(stack.shape[:-3] + (-1,)).view(np.float64)
-    if not np.all(np.isfinite(flat)):
+    of the given norms, which stand for it where stack is None); refuses a
+    non-finite amplitude or one above NORM_TOL as SystemState does, but
+    renormalizes nothing."""
+    values = norms if stack is None else stack.reshape(stack.shape[:-3] + (-1,))
+    if not np.all(np.isfinite(values)):
         raise NonFiniteInput("non-finite amplitude in SystemState")
     if norms is None:
+        flat = values.view(np.float64)
         norms = np.sqrt(np.einsum("...i,...i->...", flat, flat))
     deviation = np.abs(norms - 1.0)
     worst = int(np.argmax(deviation))
@@ -471,6 +477,77 @@ def _effective_model(psi, g, delta):
     shift = g * g / delta
     rates = np.stack((0.5 * delta + shift * n, -(0.5 * delta + shift + shift * n)), -1)
     return rates, 1j * psi
+
+
+def _tracks(psi, times, key: str, *models):
+    """The track (rates, plus, minus) of the quasi tensor psi, laid out
+    (dim_I, 2), under each (rates, field) model: cos(rt) psi + sin(rt) field
+    is e^{irt} plus + e^{-irt} minus, plus and minus = (psi -+ i field) / 2.
+    An axis whose largest |rate t| doubles resolve no better than NORM_TOL
+    is refused first, naming key, whose ulp would move the state by more."""
+    phase = float(np.abs(times).max()) * max(float(np.abs(r).max()) for r, _ in models)
+    if not sys.float_info.epsilon * phase <= NORM_TOL:
+        raise ParameterOutOfRange(
+            f"{key}: phase arguments |rate t| up to {phase:.3g} are not"
+            f" resolved to {NORM_TOL:g} in double precision"
+        )
+    psi = psi.reshape(-1, 2)  # quasi mode II's slot has size 1
+    fields = [(rates, 1j * field.reshape(-1, 2)) for rates, field in models]
+    return [(rates, 0.5 * (psi - f), 0.5 * (psi + f)) for rates, f in fields]
+
+
+def _bilinear(x, y, *weights):
+    """(freqs, W) of sum_j w_j conj(x_j(t)) y_j(t) for tracks x and y, one
+    row of W per weight array w: a sum over the frequencies +-rx +- ry, with
+    terms at equal frequencies summed and those of zero weight left out."""
+    (rx, px, mx), (ry, py, my) = x, y
+    freqs = np.concatenate([f.ravel() for f in (ry - rx, -rx - ry, rx + ry, rx - ry)])
+    terms = (px.conj() * py, px.conj() * my, mx.conj() * py, mx.conj() * my)
+    rows = np.array([np.concatenate([(w * t).ravel() for t in terms]) for w in weights])
+    keep = rows.any(axis=0)
+    freqs, at = np.unique(freqs[keep], return_inverse=True)
+    merged = np.zeros((len(weights), freqs.size), dtype=np.complex128)
+    np.add.at(merged.T, at, rows[:, keep].T)
+    return freqs, merged
+
+
+def _self_sums(x, times, *weights):
+    """The real series sum_j w_j |x_j(t)|^2 of track x, one row per weight
+    array w; with w = 1 the row is the squared norm."""
+    return _exp_sums(*_bilinear(x, x, *weights), times).real.T
+
+
+def _exp_sums(freqs, weights, times):
+    """sum_j weights[c, j] e^{i freqs[j] t} at each time of a uniform axis
+    times[k] = k h, as np.linspace(0, T, steps) gives: a (steps, C) array.
+
+    Blocks of span = ceil(sqrt(steps)) times share one offset table
+    e^{i freq times[l]}, 0 < l < span; block b's anchor e^{i freq times[b
+    span]} scales the weights, not the table. So each anchor row is the
+    direct sum and the other rows are one complex GEMM, (anchor x weights)
+    @ offsets^T: span - 1 + ceil(steps / span) rows of exponentials in
+    place of steps. Blocks go in groups of at most GROUP_CELLS anchor-scaled
+    weights, so memory stays O((span + group) J) beside the output.
+    """
+    steps, (columns, size) = times.size, weights.shape
+    span = math.isqrt(steps - 1) + 1
+    group = span * max(1, GROUP_CELLS // max(1, columns * size))
+    # e^{-ift} is conj(e^{ift}) bit for bit: one exponential per |freq|
+    rates, at = np.unique(np.abs(freqs), return_inverse=True)
+
+    def factors(t):
+        table = np.take(_phase_factors(rates, t), at, axis=1)
+        return np.conjugate(table, out=table, where=freqs < 0)
+
+    offsets = factors(times[1:span])
+    out = np.empty((-(-steps // span) * span, columns), dtype=np.complex128)
+    for start in range(0, steps, group):
+        scaled = factors(times[start : start + group : span])[:, None] * weights
+        rows = out[start : start + group].reshape(len(scaled), span, columns)
+        rows[:, 0] = scaled.sum(axis=-1)
+        rest = scaled.reshape(-1, size) @ offsets.T
+        rows[:, 1:] = rest.reshape(len(scaled), columns, span - 1).swapaxes(1, 2)
+    return out[:steps]
 
 
 def measure_atom(state: SystemState, basis: str = "plusminus"):

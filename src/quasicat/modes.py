@@ -200,20 +200,6 @@ def quasi_phase_amplitudes(
     return rotate_amplitudes(rot, shifted)
 
 
-def total_photon_shell_indices(dim: int) -> np.ndarray:
-    """Flat indices of the (dim x dim) two-mode basis states with
-    n1 + n2 <= dim - 2.
-
-    These shells form the trusted block for two-mode operator identities:
-    the rotation preserves total photon number, and one raising step from
-    them lands on n1 + n2 <= dim - 1, the last complete shell, so a state
-    supported there cannot have been contaminated by the truncation edge
-    under any of the operators compared.
-    """
-    n = np.arange(dim)
-    return np.flatnonzero((n[:, None] + n[None, :] <= dim - 2).ravel())
-
-
 def squeeze_identity_residual(
     rot: ModeRotation,
     z1: complex,

@@ -6,6 +6,9 @@ two-mode matrices of every Hamiltonian variant, so they are slow at large
 dim and serve only as an independent check. csv_rows is the per-row writer
 that the CSV kernel replaced. gaussian_composition_residual checks the
 squeeze composition law on 4x4 Bogoliubov matrices, with no truncation.
+resonant_rows and dispersive_rows give the two cat scenarios' time-axis
+columns from the amplitude stack propagated to every time, read with the
+stack observables, where the package sums exponentials.
 """
 
 import cmath
@@ -15,11 +18,22 @@ from typing import Optional
 
 import numpy as np
 
+from quasicat.analysis import (
+    atom_purity,
+    atomic_inversion,
+    mode_mean_photon,
+    mode_overlaps,
+)
 from quasicat.dynamics import (
     SIGMA_Z,
     _check_dispersive,
+    _effective_model,
+    _jc_model,
+    _phase_factors,
+    _propagate,
     coupling_square,
     excitation_diagonal,
+    norm_deviation,
 )
 from quasicat.errors import BothCouplingsZero, DimTooSmall, QuasicatError
 from quasicat.fock import (
@@ -409,6 +423,54 @@ def cat_husimi_bound(nbar: float, convention: int, leak_tol: float) -> float:
     norm_sq = 2.0 - 2.0 * convention * math.cos(math.pi * nbar) * math.exp(-2.0 * nbar)
     eps = 4.0 * leak_tol / norm_sq
     return 2.0 * math.sqrt(2.0 * eps) / math.pi + 1e-12
+
+
+def total_photon_shell_indices(dim: int) -> np.ndarray:
+    """Flat indices of the (dim x dim) two-mode basis states with
+    n1 + n2 <= dim - 2.
+
+    These shells form the trusted block for two-mode operator identities:
+    the rotation preserves total photon number, and one raising step from
+    them lands on n1 + n2 <= dim - 1, the last complete shell, so a state
+    supported there cannot have been contaminated by the truncation edge
+    under any of the operators compared.
+    """
+    n = np.arange(dim)
+    return np.flatnonzero((n[:, None] + n[None, :] <= dim - 2).ravel())
+
+
+def atom_inversion_purity(state):
+    """(atomic_inversion, atom_purity) of each state of an amplitude stack."""
+    return atomic_inversion(state), atom_purity(state)
+
+
+def _stack(model, psi, times):
+    """The (steps, dim_I, 1, 2) amplitude stack of psi under a (rates,
+    field) model, propagated directly to every time."""
+    rates, field = model
+    return _propagate(psi, field, _phase_factors(rates, times))
+
+
+def resonant_rows(psi, times, g, cats):
+    """(rows, worst_norm) of the zero-detuning axis, as cli._resonant_rows:
+    t, inversion, purity, best cat fidelity and <n>, and the largest
+    |norm - 1|."""
+    stack = _stack(_jc_model(psi, g, 0.0), psi, times)
+    inversion, purity = atom_inversion_purity(stack)
+    fid = mode_overlaps(stack, cats).max(axis=-1)
+    rows = np.column_stack((times, inversion, purity, fid, mode_mean_photon(stack)))
+    return rows, norm_deviation(stack)
+
+
+def dispersive_rows(psi, times, g, delta):
+    """(rows, worst_norm) of the large-detuning axis, as
+    cli._dispersive_rows: t, the effective-vs-oracle fidelity and the
+    oracle's inversion, and the largest |norm - 1| of both tracks."""
+    oracle = _stack(_jc_model(psi, g, delta), psi, times)
+    effective = _stack(_effective_model(psi, g, delta), psi, times)
+    overlap = np.sum(np.conj(oracle) * effective, axis=(-3, -2, -1))
+    rows = np.column_stack((times, np.abs(overlap) ** 2, atomic_inversion(oracle)))
+    return rows, max(norm_deviation(oracle), norm_deviation(effective))
 
 
 def csv_rows(table) -> bytes:

@@ -39,9 +39,13 @@ from quasicat import (
 )
 from quasicat.cli import main
 from quasicat.fock import coherent_dim
-from quasicat.modes import total_photon_shell_indices
 
-from oracles import SIGMA_PLUS, HamiltonianSpec, dense_hamiltonian
+from oracles import (
+    SIGMA_PLUS,
+    HamiltonianSpec,
+    dense_hamiltonian,
+    total_photon_shell_indices,
+)
 
 
 def _random_capped_state(rng, dim, basis):

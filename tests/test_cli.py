@@ -28,10 +28,15 @@ from quasicat.cli import (
 )
 from quasicat.dynamics import excitation_diagonal
 from quasicat.fock import LEAK_TOL, coherent_dim
-from quasicat.modes import AmplitudePair, total_photon_shell_indices
+from quasicat.modes import AmplitudePair
 
 import oracles
-from oracles import HamiltonianSpec, dense_hamiltonian, grid_peaks_loop
+from oracles import (
+    HamiltonianSpec,
+    dense_hamiltonian,
+    grid_peaks_loop,
+    total_photon_shell_indices,
+)
 
 
 def _read_summary(out_dir):
@@ -849,32 +854,33 @@ def test_broken_time_axis_is_numeric_error(
     tmp_path, capsys, monkeypatch, scenario, model, fault, cause
 ):
     # the time axis is checked, not renormalized: a NaN or a norm off by 1e-5
-    # on any one time of one track ends the run with exit 3 and names the
-    # cause; only the axis calls with the given model's field are broken
-    fields = []
-    build, propagate = getattr(cli, model), cli._propagate
+    # at any one time of one track's norm series ends the run with exit 3 and
+    # names the cause; only the series of the given model's track is broken
+    rate_sets = []
+    build, self_sums = getattr(cli, model), cli._self_sums
 
     def recorded(*args):
         rates, field = build(*args)
-        fields.append(field)
+        rate_sets.append(rates)
         return rates, field
 
-    def broken(psi, field, factors):
-        out = propagate(psi, field, factors)
-        if any(field is f for f in fields):
+    def broken(track, times, *weights):
+        out = self_sums(track, times, *weights)
+        if any(track[0] is rates for rates in rate_sets):
+            # row 0 is the squared norm
             if fault == "nan":
-                out[-1, 0, 0, 0] = np.nan
+                out[0, -1] = np.nan
             else:
-                out[-1] *= 1.0 + 1e-5
+                out[0, -1] *= (1.0 + 1e-5) ** 2
         return out
 
     monkeypatch.setattr(cli, model, recorded)
-    monkeypatch.setattr(cli, "_propagate", broken)
+    monkeypatch.setattr(cli, "_self_sums", broken)
     out = tmp_path / "o"
     assert main([scenario, "--out", str(out), "--t-steps", "7"]) == 3
     assert cause in capsys.readouterr().err
     assert not out.exists()
-    assert len(fields) == 1
+    assert len(rate_sets) == 1
 
 
 @pytest.mark.parametrize(
@@ -1002,3 +1008,75 @@ def test_writers_match_per_value_format(tmp_path):
     assert (tmp_path / "q.csv").read_text() == expected_q
     expected_t = header + "\n" + "".join(line(row) for row in values)
     assert (tmp_path / "t.csv").read_text() == expected_t
+
+
+def _zero_detuning(argv):
+    """(columns, summary) of one zero-detuning run of argv."""
+    with tempfile.TemporaryDirectory() as scratch:
+        assert main(["zero-detuning", *argv, "--out", scratch]) == 0
+        path = os.path.join(scratch, "timeseries.csv")
+        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        return rows, _read_summary(scratch)["summary"]
+
+
+def _amplitude_flags(alpha, beta):
+    flags = []
+    for name, amp in (("alpha", alpha), ("beta", beta)):
+        flags += [f"--{name}-re={amp.real!r}", f"--{name}-im={amp.imag!r}"]
+    return flags
+
+
+AMPLITUDE = st.builds(
+    lambda r, phi: r * complex(math.cos(phi), math.sin(phi)),
+    st.floats(0.3, 3.0),
+    st.floats(-math.pi, math.pi),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    g1=st.floats(0.1, 3.0),
+    g2=st.floats(0.1, 3.0),
+    alpha=AMPLITUDE,
+    beta=AMPLITUDE,
+    steps=st.integers(2, 200),
+)
+def test_swapping_the_modes_swaps_only_the_labels(g1, g2, alpha, beta, steps):
+    # g1 <-> g2 with alpha <-> beta maps theta to pi/2 - theta, keeps mu and
+    # flips nu: the quasi-mode problem and so every column stay as they are
+    def run(g1, g2, alpha, beta):
+        flags = ["--g1", repr(g1), "--g2", repr(g2), "--t-steps", str(steps)]
+        return _zero_detuning(flags + _amplitude_flags(alpha, beta))
+
+    rows, summary = run(g1, g2, alpha, beta)
+    swapped_rows, swapped = run(g2, g1, beta, alpha)
+    assert np.abs(swapped_rows - rows).max() <= 1e-12
+    assert swapped["alpha"] == summary["beta"] and swapped["beta"] == summary["alpha"]
+    assert swapped["theta"] == pytest.approx(math.pi / 2 - summary["theta"], abs=1e-12)
+    assert swapped["nu"] == pytest.approx([-x for x in summary["nu"]], abs=1e-12)
+    labels = ("alpha", "beta", "theta", "nu", "wall_clock_s")
+    for key, value in summary.items():
+        if key not in labels:
+            assert swapped[key] == pytest.approx(value, rel=1e-12, abs=1e-12), key
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    g1=st.floats(0.1, 3.0),
+    g2=st.floats(0.1, 3.0),
+    scale=st.floats(0.25, 4.0),
+    t_max=st.floats(0.5, 50.0),
+    nbar=st.floats(1.0, 60.0),
+    steps=st.integers(2, 200),
+)
+def test_scaling_the_couplings_rescales_only_time(g1, g2, scale, t_max, nbar, steps):
+    # (g1, g2, t_max) -> (c g1, c g2, t_max / c) leaves every phase g t, so
+    # every column but t, as it was
+    def run(factor):
+        flags = [f"--g1={factor * g1!r}", f"--g2={factor * g2!r}"]
+        flags += [f"--t-max={t_max / factor!r}", "--nbar", repr(nbar)]
+        return _zero_detuning(flags + ["--t-steps", str(steps)])[0]
+
+    rows, scaled = run(1.0), run(scale)
+    assert np.abs(scaled[:, 1:] - rows[:, 1:]).max() <= 1e-12
+    assert np.abs(scaled[:, 0] * scale - rows[:, 0]).max() <= 1e-12 * t_max

@@ -55,7 +55,6 @@ from quasicat.dynamics import (
 )
 from quasicat.analysis import mode_overlaps
 from quasicat.fock import coherent_dim
-from quasicat.modes import total_photon_shell_indices
 
 import oracles
 from oracles import (
@@ -65,6 +64,7 @@ from oracles import (
     dense_from_triplets,
     dense_hamiltonian,
     excitation_number,
+    total_photon_shell_indices,
 )
 
 

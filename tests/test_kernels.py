@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,22 +8,25 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-import quasicat.cli as cli
+import quasicat.dynamics as dynamics
 from quasicat.analysis import DensityMatrix, husimi_q
-from quasicat.cli import _axis_blocks, _time_chunks
+from quasicat.cli import _dispersive_rows, _resonant_rows
 from quasicat.dynamics import (
     QUASI,
     SystemState,
     _effective_model,
+    _exp_sums,
     _jc_model,
     _phase_factors,
     _propagate,
+    cat_target,
     evolve_exact_jc,
 )
 from quasicat.fock import (
     _block_diagonal,
     _chain_gate,
     _stack_by,
+    coherent_dim,
     coherent_state,
     displacement_matrix,
     ladder_matrix,
@@ -28,6 +34,8 @@ from quasicat.fock import (
 )
 from quasicat.modes import _diagonal_stack
 from quasicat.husimi import gabor_plan, gabor_q
+
+import oracles
 
 
 def _evolve(model, psi, g, delta, t):
@@ -172,68 +180,115 @@ def test_time_axis_equals_scalar_calls(dim, g, delta, times, seed):
         assert np.abs(effective[k] - scalar).max() <= 1e-14
 
 
-def _check_uniform_axis(dim, g, delta, t_max, steps, seed):
-    # the factors from the anchor and offset table against direct evaluation
-    # at each t_k: anchor rows bit for bit, the others within one rounding of
-    # the largest phase argument on the axis; both kernels then read them
-    # like the scalar call at t_k
-    psi = _random_state(np.random.default_rng(seed), dim, 1)
-    dispersive = np.copysign(abs(delta) + 5.0 * g, delta)
-    # (model, detuning, scale of the bound on the propagated state)
-    tracks = ((_jc_model, delta, 2.0), (_effective_model, dispersive, 1.0))
-    models = [model(psi, g, d) for model, d, _ in tracks]
-    rates = [r for r, _ in models]
-    times = np.linspace(0.0, t_max, steps)
-    chunks = list(_time_chunks(times, dim, *rates))
-    step, span = _axis_blocks(steps, dim)
-    sizes = [min(step, steps - k) for k in range(0, steps, step)]
-    assert [chunk.size for chunk, _, _ in chunks] == sizes
-    assert np.array_equal(np.concatenate([chunk for chunk, _, _ in chunks]), times)
-    eps = np.finfo(float).eps
-    bound = 1e-14 + 8.0 * eps * max(np.abs(r).max() for r in rates) * t_max
-    for track, ((model, d, scale), (r, field)) in enumerate(zip(tracks, models)):
-        factors = np.concatenate([chunk[1 + track] for chunk in chunks])
-        direct = _phase_factors(r, times)
-        assert np.array_equal(factors[::span], direct[::span])
-        assert np.abs(factors - direct).max() <= bound
-        stack = _propagate(psi, field, factors)
-        for k, t in enumerate(times):
-            scalar = _evolve(model, psi, g, d, t)
-            assert np.abs(stack[k] - scalar).max() <= scale * bound
+EPS = np.finfo(float).eps
+
+
+def _axis_bound(rate_max, t_max):
+    """The roundoff a time-axis value may carry per unit weight: the anchor
+    and offset factors each round their phase argument, t_s + t_l is t_k
+    only to a rounding, and the sums round too."""
+    return 1e-14 + 16.0 * EPS * rate_max * abs(t_max)
+
+
+def _random_sums(rng, terms, columns, rate_max):
+    freqs = rng.uniform(-rate_max, rate_max, terms)
+    weights = rng.normal(size=(columns, terms)) + 1j * rng.normal(size=(columns, terms))
+    return freqs, weights
+
+
+def _direct_sums(freqs, weights, times):
+    """sum_j weights[c, j] e^{i freqs[j] t} at each of the times, each factor
+    evaluated directly and multiplied into each weight, then summed."""
+    return (_phase_factors(freqs, times)[:, None] * weights).sum(axis=-1)
+
+
+def _check_exp_sums(freqs, weights, times):
+    # anchor rows bit for bit against the direct sums at the anchor times,
+    # the others within the axis bound per unit weight
+    sums = _exp_sums(freqs, weights, times)
+    assert sums.shape == (times.size, weights.shape[0])
+    span = math.isqrt(times.size - 1) + 1
+    anchors = _direct_sums(freqs, weights, times[::span])
+    assert sums[::span].tobytes() == anchors.tobytes()
+    bound = _axis_bound(np.abs(freqs).max(), times[-1]) * np.abs(weights).sum(axis=-1)
+    assert np.all(np.abs(sums - _direct_sums(freqs, weights, times)) <= bound)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    terms=st.integers(1, 40),
+    columns=st.integers(1, 4),
+    rate_max=st.floats(0.01, 60.0),
+    t_max=st.floats(0.0, 2000.0),
+    steps=st.integers(2, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_exp_sums_equal_direct_sums(terms, columns, rate_max, t_max, steps, seed):
+    freqs, weights = _random_sums(np.random.default_rng(seed), terms, columns, rate_max)
+    _check_exp_sums(freqs, weights, np.linspace(0.0, t_max, steps))
 
 
 @pytest.mark.parametrize(
-    "dim, steps",
+    "steps",
     [
-        (12, 2),  # the shortest axis
-        (30, 100),  # not a whole number of 68-time chunks
-        (1100, 150),  # CHUNK_PAIRS // dim == 1: one time per chunk
+        2,  # the shortest axis: one block of two times
+        111,  # the last block holds one time
+        120,  # the last block is cut short
     ],
 )
-def test_uniform_axis_edge_cases(dim, steps):
-    _check_uniform_axis(dim, 0.9, 2.5, 400.0, steps, 5)
+def test_exp_sums_edge_cases(steps):
+    freqs, weights = _random_sums(np.random.default_rng(5), 30, 3, 20.0)
+    freqs[:2] = 0.0, -freqs[2]  # a zero frequency and a +-f pair
+    _check_exp_sums(freqs, weights, np.linspace(0.0, 400.0, steps))
+
+
+def test_exp_sums_groups_change_only_memory(monkeypatch):
+    freqs, weights = _random_sums(np.random.default_rng(6), 50, 2, 5.0)
+    times = np.linspace(0.0, 300.0, 1000)
+    whole = _exp_sums(freqs, weights, times)
+    # one block per group in place of all 32 at once
+    monkeypatch.setattr(dynamics, "GROUP_CELLS", 1)
+    bound = _axis_bound(5.0, 300.0) * np.abs(weights).sum(axis=-1)
+    assert np.all(np.abs(_exp_sums(freqs, weights, times) - whole) <= bound)
 
 
 @pytest.mark.parametrize(
-    "dim, steps, expected",
-    [(30, 100, 68 + 2), (88, 400, 23 + 18), (1670, 2000, 45 + 45)],
+    "steps, expected",
+    [(2, 1 + 1), (100, 9 + 10), (400, 19 + 20), (2000, 44 + 45)],
 )
 def test_uniform_axis_evaluates_offset_and_anchor_rows_only(
-    monkeypatch, dim, steps, expected
+    monkeypatch, steps, expected
 ):
-    # the offset table's rows plus one anchor row per block, against one
-    # row per time when each time is evaluated directly
-    rows = []
+    # the offset table's rows past t = 0 plus one anchor row per block,
+    # against one row per time when each time is evaluated directly; a row
+    # takes one exponential per distinct |frequency|
+    rows, cells = [], []
 
     def counted(rates, t):
         rows.append(np.size(t))
+        cells.append(np.size(rates) * np.size(t))
         return _phase_factors(rates, t)
 
-    monkeypatch.setattr(cli, "_phase_factors", counted)
-    times = np.linspace(0.0, 50.0, steps)
-    for _ in _time_chunks(times, dim, _jc_model(np.zeros((dim, 1, 2)), 1.0, 0.0)[0]):
-        pass
+    monkeypatch.setattr(dynamics, "_phase_factors", counted)
+    freqs = np.array([0.0, 1.5, -1.5, 2.0, -0.5, 0.5, 3.0])
+    _exp_sums(freqs, np.ones((2, freqs.size)), np.linspace(0.0, 50.0, steps))
     assert sum(rows) == expected
+    assert sum(cells) == 5 * expected
+
+
+def _axis_case(dim, g, delta, t_max, steps, atom, cats, seed):
+    """A random field times the unit atom, its uniform axis, random unit cat
+    rays, and the bound of both scenarios' rates."""
+    rng = np.random.default_rng(seed)
+    field = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    atom = np.array([math.cos(atom[0]), math.sin(atom[0]) * np.exp(1j * atom[1])])
+    psi = (field / np.linalg.norm(field))[:, None, None] * atom
+    rays = rng.normal(size=(cats, dim)) + 1j * rng.normal(size=(cats, dim))
+    rays /= np.linalg.norm(rays, axis=1)[:, None]
+    rates = [_jc_model(psi, g, d)[0] for d in (0.0, delta)]
+    rates.append(_effective_model(psi, g, delta)[0])
+    bound = _axis_bound(max(np.abs(r).max() for r in rates), t_max)
+    return psi, np.linspace(0.0, t_max, steps), rays, bound
 
 
 @settings(max_examples=60, deadline=None)
@@ -243,10 +298,59 @@ def test_uniform_axis_evaluates_offset_and_anchor_rows_only(
     delta=st.floats(-15.0, 15.0),
     t_max=st.floats(0.0, 2000.0),
     steps=st.integers(2, 300),
+    atom=st.tuples(st.floats(0.0, math.pi / 2), st.floats(-math.pi, math.pi)),
+    cats=st.integers(1, 2),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_uniform_axis_equals_scalar_calls(dim, g, delta, t_max, steps, seed):
-    _check_uniform_axis(dim, g, delta, t_max, steps, seed)
+def test_axis_columns_equal_propagated_stacks(
+    dim, g, delta, t_max, steps, atom, cats, seed
+):
+    # every column of both cat scenarios against the stack propagated to
+    # every t and read with the stack observables; <n> scales with the
+    # photon numbers, so its bound does too
+    dispersive = np.copysign(abs(delta) + 5.0 * g, delta)
+    case = _axis_case(dim, g, dispersive, t_max, steps, atom, cats, seed)
+    psi, times, rays, bound = case
+    for ours, reference in (
+        (
+            _resonant_rows(psi, times, g, rays),
+            oracles.resonant_rows(psi, times, g, rays),
+        ),
+        (
+            _dispersive_rows(psi, times, g, dispersive),
+            oracles.dispersive_rows(psi, times, g, dispersive),
+        ),
+    ):
+        (rows, worst), (expected, expected_worst) = ours, reference
+        assert rows.shape == expected.shape
+        assert np.array_equal(rows[:, 0], times)
+        scale = np.maximum(1.0, np.abs(expected).max(axis=0))
+        assert np.all(np.abs(rows - expected) <= bound * scale)
+        assert abs(worst - expected_worst) <= bound
+
+
+def test_axis_memory_stays_bounded():
+    # zero-detuning at nbar 1400 (d = 1670) over 20 000 times peaks at the
+    # output table, the widest form's complex columns (two cats, two levels)
+    # and O((span + group) J) factors, J = 4 d the terms of the coherence
+    # form: never a (steps, J) table, nor the anchor-scaled weights of every
+    # block at once
+    mu = -1j * math.sqrt(1400.0)
+    dim = coherent_dim(mu)
+    psi = np.zeros((dim, 1, 2), dtype=complex)
+    psi[:, 0, 0] = coherent_state(mu, dim).amps
+    cats = np.array([cat_target(mu, convention, dim).amps for convention in (1, -1)])
+    times = np.linspace(0.0, 2.0 * math.pi * math.sqrt(1400.0), 20_000)
+    tracemalloc.start()
+    try:
+        rows, _ = _resonant_rows(psi, times, 1.0, cats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    span, terms = math.isqrt(times.size - 1) + 1, 4 * dim
+    factors = 16 * (2 * span * terms + 2 * dynamics.GROUP_CELLS)
+    assert dim == 1670
+    assert peak <= rows.nbytes + 16 * times.size * 4 + factors
 
 
 def test_husimi_grid_against_coherent_overlap():

@@ -29,9 +29,7 @@ from quasicat import (
     squeeze_composition,
     squeeze_identity_residual,
 )
-from quasicat.modes import total_photon_shell_indices
-
-from oracles import gaussian_composition_residual
+from oracles import gaussian_composition_residual, total_photon_shell_indices
 
 
 def test_rotation_params_symmetric():
